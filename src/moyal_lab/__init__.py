@@ -22,8 +22,7 @@ from .star import (ConventionError, HbarSeries, bracket_discrepancy,
                    bracket_term, calibration_check, cj_coefficient,
                    moyal_bracket, moyal_bracket_series, moyal_product, star,
                    truncated_bracket)
-from .exppoly import (ExpPolySymbol, cj_exp, exp_derivative,
-                      pure_exp_collapse, star_with_pure)
+from .exppoly import ExpPolySymbol, cj_exp, pure_exp_collapse, star_with_pure
 from .certify import (Certificate, MpcReport, bracket_term_exp,
                       exp_test_bracket, expected_term_constant,
                       gvh_certificate, mpc_identity_check)

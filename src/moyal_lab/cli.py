@@ -103,18 +103,11 @@ def _eval_arg(text: str):
     return lower_evaluator(parse_symbol(text))
 
 
-def _float_list(text: str) -> list[float]:
+def _num_list(text: str, kind=float) -> list:
     try:
-        return [float(t) for t in text.split(",") if t.strip()]
+        return [kind(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise ExprError(f"bad numeric list {text!r}", 0) from exc
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
-        raise ExprError(f"bad integer list {text!r}", 0) from exc
 
 
 # ------------------------------------------------------------- subcommands
@@ -238,11 +231,11 @@ def cmd_remainder(args) -> int:
 def cmd_quantize(args) -> int:
     import numpy as np
 
-    from .grid import sample
+    from .grid import GridSpec, sample
     from .gridio import save_operator
-    from .weylop import XGrid, quantize_kernel, symbol_from_operator
+    from .weylop import quantize_kernel, symbol_from_operator
 
-    grid = XGrid(args.Nx, args.L, args.hbar)
+    grid = GridSpec(args.Nx, args.L, args.hbar)
     ev = _eval_arg(args.A)
     M = quantize_kernel(ev, grid, spectral=args.spectral)
     herm = M.hermiticity_defect()
@@ -267,12 +260,13 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_egorov(args) -> int:
-    from .weylop import XGrid, egorov_compare
+    from .grid import GridSpec
+    from .weylop import egorov_compare
 
     H = _poly_arg(args.H, 1)
     if H.degree() > 2:
         raise ExprError("egorov requires deg H <= 2", 0)
-    grid = XGrid(args.Nx, args.L, args.hbar)
+    grid = GridSpec(args.Nx, args.L, args.hbar)
     rep = egorov_compare(_eval_arg(args.A), H, args.t, grid)
     emit_json({"command": "egorov",
                "grid": {"Nx": grid.n, "L": grid.box, "hbar": grid.hbar},
@@ -286,16 +280,17 @@ def cmd_egorov(args) -> int:
 def cmd_coherent(args) -> int:
     import numpy as np
 
-    from .weylop import XGrid, coherent_state, expectation, quantize_kernel
+    from .grid import GridSpec
+    from .weylop import coherent_state, expectation, quantize_kernel
 
-    y, eta = _float_list(args.Y)
+    y, eta = _num_list(args.Y)
     ev = _eval_arg(args.A)
     rows = []
     errs = []
     import warnings
 
     for hbar in args.hbars_list:
-        grid = XGrid(args.Nx, args.L, hbar)
+        grid = GridSpec(args.Nx, args.L, hbar)
         phi = coherent_state((y, eta), grid)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -425,9 +420,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if hasattr(args, "hbars"):
-            args.hbars_list = _float_list(args.hbars)
+            args.hbars_list = _num_list(args.hbars)
+            if not args.hbars_list:
+                raise ValueError("--hbars needs at least one value")
         if hasattr(args, "orders"):
-            args.orders_list = _int_list(args.orders)
+            args.orders_list = _num_list(args.orders, int)
+            if not args.orders_list:
+                raise ValueError("--orders needs at least one value")
+        if getattr(args, "max_m", 0) < 0:
+            raise ValueError("--max-m must be >= 0")
         calibration_check(1)
         return args.func(args)
     except ExprError as exc:

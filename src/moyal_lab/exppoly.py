@@ -20,11 +20,10 @@ regression tests re-derive it through order hbar^3.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
-from .crational import I, ScalarLike, neg_i_power
+from .crational import I, ScalarLike
 from .polysym import PolySymbol, Shape, ShapeError
-from .star import ConventionError, _index_pairs
+from .star import ConventionError, _bidifferential_sum
 
 
 def _full_shape(d: int) -> Shape:
@@ -158,11 +157,6 @@ class ExpPolySymbol:
         return ExpPolySymbol(self.prefactor.translated(shifts), self.sign)
 
 
-def exp_derivative(E: ExpPolySymbol, block: str, axis: int = 0) -> ExpPolySymbol:
-    """Functional form of ExpPolySymbol.partial."""
-    return E.partial(block, axis)
-
-
 def cj_exp(A: "ExpPolySymbol | PolySymbol", B: "ExpPolySymbol | PolySymbol",
            j: int) -> ExpPolySymbol:
     """C_j(A, B) where at most one factor carries a nonvanishing phase, or
@@ -190,24 +184,8 @@ def cj_exp(A: "ExpPolySymbol | PolySymbol", B: "ExpPolySymbol | PolySymbol",
         return ExpPolySymbol(PolySymbol.zero(A.prefactor.shape), 0)
     if B.sign == 0 and A.sign != 0 and j > B.prefactor.degree():
         return ExpPolySymbol(PolySymbol.zero(A.prefactor.shape), 0)
-    acc = ExpPolySymbol(PolySymbol.zero(_full_shape(d)), 0)
-    for a, b in _index_pairs(d, j):
-        dA = A.partial_multi(x=b, xi=a)
-        if dA.is_zero:
-            continue
-        dB = B.partial_multi(x=a, xi=b)
-        if dB.is_zero:
-            continue
-        sign = -1 if sum(b) % 2 else 1
-        fac = 1
-        for t in a:
-            fac *= factorial(t)
-        for t in b:
-            fac *= factorial(t)
-        term = (dA * dB).scaled(Fraction(sign, fac))
-        acc = term if acc.is_zero else acc + term
-    scale = neg_i_power(j) * Fraction(1, 2 ** j)
-    result = acc.scaled(scale)
+    zero = ExpPolySymbol(PolySymbol.zero(_full_shape(d)), 0)
+    result = _bidifferential_sum(A, B, d, j, zero)
     expected_sign = A.sign + B.sign
     if not result.is_zero and result.sign != expected_sign:
         raise ConventionError("phase sign drifted in bidifferential sum")

@@ -23,29 +23,36 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
 from .evaluators import SymbolEvaluator
 
 BOUNDARY_DECAY = 1e-12
+ORACLE_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridSpec:
-    """Periodic phase-space grid: N points per axis on [-L, L), plus hbar."""
+    """Periodic lattice: N points per axis on [-L, L), plus hbar.
+
+    The one lattice of the numeric engine: phase-space grids use it on both
+    axes, operators and wavefunctions (`weylop`) on the position axis.
+    """
 
     n: int
     box: float
     hbar: float
-    interior_tol: float = 1e-6
-    oracle_tol: float = 1e-6
 
     def __post_init__(self):
         if self.n < 16 or self.n & (self.n - 1):
             raise ValueError("grid size must be a power of two, at least 16")
-        if self.box <= 0 or self.hbar <= 0:
-            raise ValueError("box half-length and hbar must be positive")
+        if not (isfinite(self.box) and isfinite(self.hbar) and self.box > 0 and self.hbar > 0):
+            raise ValueError("box half-length and hbar must be finite and positive")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "box", float(self.box))
+        object.__setattr__(self, "hbar", float(self.hbar))
 
     @property
     def step(self) -> float:
@@ -57,6 +64,9 @@ class GridSpec:
     def omega(self) -> np.ndarray:
         """Angular frequencies of the periodic grid."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, self.step)
+
+    def momenta(self) -> np.ndarray:
+        return self.hbar * self.omega()
 
     def meshes(self):
         x = self.axis()
@@ -145,7 +155,7 @@ def star_quadrature_point(A: SymbolEvaluator, B: SymbolEvaluator,
     orientation exp(-(2i/hbar) sigma(u, v)); cost O(N^3) per point via the
     factorization of the oscillatory kernel.  When `refine_check` is set
     the value is recomputed at doubled resolution and a warning is issued
-    if the two disagree beyond `spec.oracle_tol`.
+    if the two disagree beyond `ORACLE_TOL`.
     """
     x0, xi0 = float(X[0]), float(X[1])
 
@@ -167,7 +177,7 @@ def star_quadrature_point(A: SymbolEvaluator, B: SymbolEvaluator,
         return coarse
     fine = compute(2 * spec.n)
     scale = max(abs(fine), 1.0)
-    if abs(fine - coarse) > spec.oracle_tol * scale:
+    if abs(fine - coarse) > ORACLE_TOL * scale:
         warnings.warn(f"quadrature not converged: |I_N - I_2N| = "
                       f"{abs(fine - coarse):.3e}", stacklevel=2)
     return fine
@@ -222,7 +232,7 @@ def remainder_scaling_scan(A: SymbolEvaluator, B: SymbolEvaluator,
     slopes = {}
     sups: dict[int, list[tuple[float, float]]] = {o: [] for o in orders}
     for h in hbars:
-        sp = GridSpec(spec.n, spec.box, float(h), spec.interior_tol, spec.oracle_tol)
+        sp = GridSpec(spec.n, spec.box, h)
         GA, GB = sample(A, sp), sample(B, sp)
         prod = star_grid(GA, GB).samples
         mask = sp.interior_mask()

@@ -2,7 +2,8 @@
 
 Layout: row-major complex samples as interleaved little-endian float64
 pairs (re, im) in ``<path>.bin``, and a sidecar ``<path>.json`` holding
-{"kind", "shape", "N", "L", "hbar"}.  Grid symbols, operator matrices and
+{"kind", "shape", "N", "L", "hbar"}, where N, L and hbar are the fields of
+the data's `grid.GridSpec` lattice.  Grid symbols, operator matrices and
 wavefunctions all share the format; ``kind`` tells them apart.
 """
 
@@ -13,64 +14,54 @@ from pathlib import Path
 
 import numpy as np
 
-_KINDS = ("grid", "operator", "wave")
+from .grid import GridSpec, GridSymbol
 
 
-def _write(path: Path, kind: str, arr: np.ndarray, n: int, box: float, hbar: float) -> None:
+def _write(path, kind: str, arr: np.ndarray, spec: GridSpec) -> None:
     data = np.ascontiguousarray(arr, dtype=complex)
     flat = np.empty(data.size * 2, dtype="<f8")
     flat[0::2] = data.real.ravel()
     flat[1::2] = data.imag.ravel()
     path = Path(path)
     path.with_suffix(".bin").write_bytes(flat.tobytes())
-    sidecar = {"kind": kind, "shape": list(data.shape), "N": n, "L": box, "hbar": hbar}
+    sidecar = {"kind": kind, "shape": list(data.shape),
+               "N": spec.n, "L": spec.box, "hbar": spec.hbar}
     path.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
 
 
-def _read(path: Path):
+def _read(path, kind: str) -> tuple[GridSpec, np.ndarray]:
     path = Path(path)
     meta = json.loads(path.with_suffix(".json").read_text())
-    if meta["kind"] not in _KINDS:
-        raise ValueError(f"unknown payload kind {meta['kind']!r}")
+    if meta["kind"] != kind:
+        raise ValueError(f"expected a {kind} payload, found {meta['kind']!r}")
     raw = np.frombuffer(path.with_suffix(".bin").read_bytes(), dtype="<f8")
     arr = (raw[0::2] + 1j * raw[1::2]).reshape(meta["shape"])
-    return meta, arr
+    return GridSpec(meta["N"], meta["L"], meta["hbar"]), arr
 
 
 def save_grid_symbol(g, path) -> None:
-    _write(Path(path), "grid", g.samples, g.spec.n, g.spec.box, g.spec.hbar)
+    _write(path, "grid", g.samples, g.spec)
 
 
 def load_grid_symbol(path):
-    from .grid import GridSpec, GridSymbol
-
-    meta, arr = _read(Path(path))
-    if meta["kind"] != "grid":
-        raise ValueError(f"expected a grid payload, found {meta['kind']!r}")
-    return GridSymbol(GridSpec(meta["N"], meta["L"], meta["hbar"]), arr)
+    return GridSymbol(*_read(path, "grid"))
 
 
 def save_operator(m, path) -> None:
-    _write(Path(path), "operator", m.entries, m.grid.n, m.grid.box, m.grid.hbar)
+    _write(path, "operator", m.entries, m.grid)
 
 
 def load_operator(path):
-    from .weylop import OperatorMatrix, XGrid
+    from .weylop import OperatorMatrix
 
-    meta, arr = _read(Path(path))
-    if meta["kind"] != "operator":
-        raise ValueError(f"expected an operator payload, found {meta['kind']!r}")
-    return OperatorMatrix(XGrid(meta["N"], meta["L"], meta["hbar"]), arr)
+    return OperatorMatrix(*_read(path, "operator"))
 
 
 def save_wave(w, path) -> None:
-    _write(Path(path), "wave", w.values, w.grid.n, w.grid.box, w.grid.hbar)
+    _write(path, "wave", w.values, w.grid)
 
 
 def load_wave(path):
-    from .weylop import WaveVector, XGrid
+    from .weylop import WaveVector
 
-    meta, arr = _read(Path(path))
-    if meta["kind"] != "wave":
-        raise ValueError(f"expected a wave payload, found {meta['kind']!r}")
-    return WaveVector(XGrid(meta["N"], meta["L"], meta["hbar"]), arr)
+    return WaveVector(*_read(path, "wave"))

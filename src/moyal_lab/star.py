@@ -129,17 +129,12 @@ def _index_pairs(d: int, j: int) -> Iterator[tuple[tuple, tuple]]:
         yield comp[:d], comp[d:]
 
 
-def cj_coefficient(A: PolySymbol, B: PolySymbol, j: int) -> PolySymbol:
-    """The j-th bidifferential coefficient C_j(A, B) of the product series."""
-    _check_same_shape(A, B)
-    if j < 0:
-        raise ValueError("order must be >= 0")
-    if j == 0:
-        return A * B
-    d = A.shape.d
-    if j > min(A.degree(), B.degree()):
-        return PolySymbol.zero(A.shape)
-    acc = PolySymbol.zero(A.shape)
+def _bidifferential_sum(A, B, d: int, j: int, acc):
+    """C_j(A, B) by the index-pair sum of the module docstring, added onto `acc`.
+
+    Serves every operand type with `partial_multi`, `is_zero`, `*`, `+` and
+    `scaled`: polynomial symbols here, exponential test symbols in exppoly.
+    """
     for a, b in _index_pairs(d, j):
         dA = A.partial_multi(x=b, xi=a)
         if dA.is_zero:
@@ -154,8 +149,19 @@ def cj_coefficient(A: PolySymbol, B: PolySymbol, j: int) -> PolySymbol:
         for t in b:
             fac *= factorial(t)
         acc = acc + (dA * dB).scaled(Fraction(sign, fac))
-    scale = neg_i_power(j) * Fraction(1, 2 ** j)
-    return acc.scaled(scale)
+    return acc.scaled(neg_i_power(j) * Fraction(1, 2 ** j))
+
+
+def cj_coefficient(A: PolySymbol, B: PolySymbol, j: int) -> PolySymbol:
+    """The j-th bidifferential coefficient C_j(A, B) of the product series."""
+    _check_same_shape(A, B)
+    if j < 0:
+        raise ValueError("order must be >= 0")
+    if j == 0:
+        return A * B
+    if j > min(A.degree(), B.degree()):
+        return PolySymbol.zero(A.shape)
+    return _bidifferential_sum(A, B, A.shape.d, j, PolySymbol.zero(A.shape))
 
 
 def moyal_product(A: PolySymbol, B: PolySymbol) -> HbarSeries:

@@ -3,7 +3,10 @@
 Operators are dense matrices acting directly on sample vectors; inner
 products carry the quadrature weight dx = 2L/N, so position symbols
 quantize to plain diagonal matrices and the identity symbol to the
-identity matrix.
+identity matrix.  The position grid is `grid.GridSpec`, the one lattice of
+the numeric engine (`XGrid` names the same class): an operator's lattice is
+the phase-space grid of its symbol, and the N, L and hbar of a `gridio`
+sidecar are that lattice's fields.
 
 Two quantization routes are implemented and cross-validated:
 
@@ -30,45 +33,12 @@ from math import pi
 import numpy as np
 
 from .evaluators import SymbolEvaluator
-from .grid import GridSpec, GridSymbol
+from .grid import GridSpec, GridSymbol, symplectic_fourier
 from .polysym import PolySymbol
 
 NYQUIST_TAIL = 1e-8
 
-
-class XGrid:
-    """Periodic position grid: N points on [-L, L), plus hbar."""
-
-    __slots__ = ("n", "box", "hbar")
-
-    def __init__(self, n: int, box: float, hbar: float):
-        if n < 16 or n & (n - 1):
-            raise ValueError("grid size must be a power of two, at least 16")
-        if box <= 0 or hbar <= 0:
-            raise ValueError("box half-length and hbar must be positive")
-        self.n = int(n)
-        self.box = float(box)
-        self.hbar = float(hbar)
-
-    @property
-    def step(self) -> float:
-        return 2.0 * self.box / self.n
-
-    def axis(self) -> np.ndarray:
-        return -self.box + self.step * np.arange(self.n)
-
-    def omega(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, self.step)
-
-    def momenta(self) -> np.ndarray:
-        return self.hbar * self.omega()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, XGrid) and \
-            (self.n, self.box, self.hbar) == (other.n, other.box, other.hbar)
-
-    def __repr__(self) -> str:
-        return f"XGrid(n={self.n}, box={self.box}, hbar={self.hbar})"
+XGrid = GridSpec
 
 
 class WaveVector:
@@ -76,7 +46,7 @@ class WaveVector:
 
     __slots__ = ("grid", "values")
 
-    def __init__(self, grid: XGrid, values: np.ndarray):
+    def __init__(self, grid: GridSpec, values: np.ndarray):
         v = np.ascontiguousarray(values, dtype=complex)
         if v.shape != (grid.n,):
             raise ValueError("wavefunction length does not match the grid")
@@ -97,7 +67,7 @@ class OperatorMatrix:
 
     __slots__ = ("grid", "entries")
 
-    def __init__(self, grid: XGrid, entries: np.ndarray):
+    def __init__(self, grid: GridSpec, entries: np.ndarray):
         m = np.ascontiguousarray(entries, dtype=complex)
         if m.shape != (grid.n, grid.n):
             raise ValueError("operator shape does not match the grid")
@@ -140,7 +110,7 @@ def commutator(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
 
 # ---------------------------------------------------------------- quantization
 
-def quantize_kernel(A: SymbolEvaluator, grid: XGrid,
+def quantize_kernel(A: SymbolEvaluator, grid: GridSpec,
                     spectral: bool = False) -> OperatorMatrix:
     """Weyl quantization through the kernel formula on a momentum lattice.
 
@@ -186,14 +156,14 @@ def quantize_kernel(A: SymbolEvaluator, grid: XGrid,
     return OperatorMatrix(grid, G[S, R])
 
 
-def _half_step_shift(grid: XGrid) -> np.ndarray:
+def _half_step_shift(grid: GridSpec) -> np.ndarray:
     """The band-limited unitary (S psi)(x) = psi(x + dx/2) as a matrix."""
     n = grid.n
     ramp = np.exp(1j * grid.omega() * grid.step / 2.0)
     return np.fft.ifft(np.fft.fft(np.eye(n), axis=0) * ramp[:, None], axis=0)
 
 
-def _edge_taper(grid: XGrid, start: float = 0.8) -> np.ndarray:
+def _edge_taper(grid: GridSpec, start: float = 0.8) -> np.ndarray:
     """C^2 roll-off from 1 to 0 over [start * L, L], symmetric in |x|."""
     s = (np.abs(grid.axis()) - start * grid.box) / ((1.0 - start) * grid.box)
     s = np.clip(s, 0.0, 1.0)
@@ -218,11 +188,10 @@ def symbol_from_operator(M: OperatorMatrix) -> GridSymbol:
     grid = M.grid
     n = grid.n
     dx = grid.step
-    spec = GridSpec(n, grid.box, grid.hbar)
     m = np.diag(M.entries).copy()
     if np.array_equal(M.entries, np.diag(m)):
         # pure multiplication operator: flat symbol, exactly
-        return GridSymbol(spec, np.repeat(m[:, None], n, axis=1))
+        return GridSymbol(grid, np.repeat(m[:, None], n, axis=1))
     w = _edge_taper(grid)
     Kt = w[:, None] * (M.entries / dx) * w[None, :]    # seam-safe tapered kernel
     S = _half_step_shift(grid)
@@ -239,41 +208,30 @@ def symbol_from_operator(M: OperatorMatrix) -> GridSymbol:
     Ee = np.exp(-1j * np.outer(te, xi) / grid.hbar) * dx
     Eo = np.exp(-1j * np.outer(te + dx, xi) / grid.hbar) * dx
     samples = Ge @ Ee + Go @ Eo
-    return GridSymbol(spec, samples)
+    return GridSymbol(grid, samples)
 
 
-def quantize_via_covariant(A: SymbolEvaluator, grid: XGrid,
-                           eta_box: float | None = None,
-                           n_eta: int | None = None) -> OperatorMatrix:
+def quantize_via_covariant(A: SymbolEvaluator, grid: GridSpec) -> OperatorMatrix:
     """Second quantization route: superposed translations at hbar = 1.
 
-    Op(A) = (2 pi)^{-2} II A_sigma(y, eta) T(y, eta) dy d eta with the
-    y-quadrature on the position lattice (translations become exact index
-    rolls) and A_sigma computed by direct quadrature on the phase grid.
+    Op(A) = (2 pi)^{-2} II A_sigma(y, eta) T(y, eta) dy d eta with both the
+    y- and the eta-quadrature on the grid's own axis (translations become
+    exact index rolls) and A_sigma from `grid.symplectic_fourier`.
     """
     if abs(grid.hbar - 1.0) > 1e-12:
         raise ValueError("the covariant route is pinned to hbar = 1")
     n = grid.n
-    L = grid.box
     x = grid.axis()
-    eta_box = L if eta_box is None else float(eta_box)
-    n_eta = n if n_eta is None else int(n_eta)
-    deta = 2.0 * eta_box / n_eta
-    eta = -eta_box + deta * np.arange(n_eta)
-
-    # A_sigma(y, eta) = Int A(z) e^{-i (eta z_x - y z_xi)} dz on the phase grid
-    Az = A(x[:, None], x[None, :])                      # [z_x, z_xi]
-    Ee = np.exp(-1j * np.outer(eta, x))                 # [eta, z_x]
-    Ey = np.exp(1j * np.outer(x, x))                    # [z_xi, y]
-    Asig = (Ee @ Az @ Ey).T * grid.step ** 2            # [y, eta]
+    Az = GridSymbol(grid, A(x[:, None], x[None, :]))   # [z_x, z_xi]
+    Asig = symplectic_fourier(Az).samples              # [y, eta]
 
     # accumulate translations: T(y_m, eta) psi = e^{i eta (x - y_m/2)} psi(x - y_m)
-    weight = grid.step * deta / (2.0 * np.pi) ** 2
+    weight = grid.step * grid.step / (2.0 * np.pi) ** 2
     out = np.zeros((n, n), dtype=complex)
     idx = np.arange(n)
     for m in range(n):
         y = x[m]
-        g = Asig[m, :] @ np.exp(1j * np.outer(eta, x - 0.5 * y))   # vector over i
+        g = Asig[m, :] @ np.exp(1j * np.outer(x, x - 0.5 * y))     # vector over i
         cols = (idx - (m - n // 2)) % n
         out[idx, cols] += weight * g
     return OperatorMatrix(grid, out)
@@ -281,7 +239,7 @@ def quantize_via_covariant(A: SymbolEvaluator, grid: XGrid,
 
 # ---------------------------------------------------------------- translations
 
-def heisenberg_translation(Y, grid: XGrid) -> OperatorMatrix:
+def heisenberg_translation(Y, grid: GridSpec) -> OperatorMatrix:
     """The phase-space translation unitary T(Y) as a matrix.
 
     (T(Y) psi)(x) = e^{(i/hbar) eta (x - y/2)} psi(x - y); the shift acts
@@ -299,7 +257,7 @@ def heisenberg_translation(Y, grid: XGrid) -> OperatorMatrix:
     return OperatorMatrix(grid, phase[:, None] * S)
 
 
-def coherent_state(Y, grid: XGrid) -> WaveVector:
+def coherent_state(Y, grid: GridSpec) -> WaveVector:
     """phi_Y = T(Y) phi_0 with phi_0(x) = (pi hbar)^{-1/4} e^{-x^2 / 2 hbar}."""
     y, eta = float(Y[0]), float(Y[1])
     x = grid.axis()
@@ -314,11 +272,11 @@ def expectation(M: OperatorMatrix, psi: WaveVector) -> complex:
     return complex(np.vdot(psi.values, M.entries @ psi.values) * psi.grid.step)
 
 
-def position_operator(grid: XGrid) -> OperatorMatrix:
+def position_operator(grid: GridSpec) -> OperatorMatrix:
     return OperatorMatrix(grid, np.diag(grid.axis().astype(complex)))
 
 
-def momentum_operator(grid: XGrid) -> OperatorMatrix:
+def momentum_operator(grid: GridSpec) -> OperatorMatrix:
     n = grid.n
     F = np.fft.fft(np.eye(n), axis=0)
     P = np.fft.ifft(F * grid.momenta()[:, None], axis=0)
@@ -327,7 +285,7 @@ def momentum_operator(grid: XGrid) -> OperatorMatrix:
 
 # ---------------------------------------------------------------- dynamics
 
-def commutator_bracket(A: SymbolEvaluator, H: SymbolEvaluator, grid: XGrid,
+def commutator_bracket(A: SymbolEvaluator, H: SymbolEvaluator, grid: GridSpec,
                        spectral_h: bool = False) -> OperatorMatrix:
     """(i/hbar) [Op(A), Op(H)]; set spectral_h for a polynomial H."""
     opa = quantize_kernel(A, grid)
@@ -423,7 +381,7 @@ def evolve_evaluator(A: SymbolEvaluator, H: PolySymbol, t: float) -> SymbolEvalu
     return A.compose_affine(E, u)
 
 
-def egorov_compare(A: SymbolEvaluator, H: PolySymbol, t: float, grid: XGrid) -> dict:
+def egorov_compare(A: SymbolEvaluator, H: PolySymbol, t: float, grid: GridSpec) -> dict:
     """Evolved Weyl symbol vs. classically transported symbol, quadratic H.
 
     The quantum side uses A(t) = e^{itH/hbar} Op(A) e^{-itH/hbar}, whose

@@ -8,8 +8,8 @@ from moyal_lab.crational import I
 from moyal_lab.certify import (bracket_term_exp, exp_test_bracket,
                                expected_term_constant, gvh_certificate,
                                mpc_identity_check)
-from moyal_lab.exppoly import (ExpPolySymbol, cj_exp, exp_derivative,
-                               pure_exp_collapse, star_with_pure)
+from moyal_lab.exppoly import (ExpPolySymbol, cj_exp, pure_exp_collapse,
+                               star_with_pure)
 from moyal_lab.polysym import PolySymbol, Shape, directional_power
 from moyal_lab.star import bracket_discrepancy
 
@@ -40,8 +40,8 @@ def test_test_symbol_derivatives():
     eta = PolySymbol.var(full, "eta")
     y = PolySymbol.var(full, "y")
     # d_x T_Y = -i eta T_Y ; d_xi T_Y = +i y T_Y
-    assert exp_derivative(T, "x") == ExpPolySymbol(eta.scaled(-I), -1)
-    assert exp_derivative(T, "xi") == ExpPolySymbol(y.scaled(I), -1)
+    assert T.partial("x") == ExpPolySymbol(eta.scaled(-I), -1)
+    assert T.partial("xi") == ExpPolySymbol(y.scaled(I), -1)
 
 
 def test_leibniz_on_prefactor():

@@ -73,6 +73,18 @@ def test_exit_codes():
     assert run_cli("bracket", "--A", "x +", "--H", "x").returncode == 1
     assert run_cli("star", "--A", "gauss(1)", "--B", "x").returncode == 1  # exact mode
     assert run_cli("nonsense").returncode == 1
+    # malformed values: a config error with a one-line message, never a
+    # traceback or a silently empty result
+    for argv in (["star", "--A", "gauss(1)", "--B", "gauss(1)", "--mode", "grid",
+                  "--hbar", "nan"],
+                 ["remainder", "--A", "gauss(1)", "--B", "gauss(1)", "--orders", "1",
+                  "--hbars", ","],
+                 ["coherent", "--A", "x^2", "--Y", "1,0", "--hbars", ","],
+                 ["gvh", "--H", "x^3", "--max-m", "-1"]):
+        out = run_cli(*argv)
+        assert out.returncode == 1, argv
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1 and "Traceback" not in out.stderr
 
 
 def test_output_to_file(tmp_path):

@@ -29,6 +29,11 @@ def test_spec_validation():
         GridSpec(64, -1.0, 1.0)
     with pytest.raises(ValueError):
         GridSpec(64, 6.0, 0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            GridSpec(64, bad, 1.0)
+        with pytest.raises(ValueError):
+            GridSpec(64, 6.0, bad)
 
 
 def test_sample_values_and_boundary_guard():

@@ -6,7 +6,7 @@ import pytest
 
 from moyal_lab.evaluators import SymbolEvaluator, poisson_bracket_eval, window
 from moyal_lab.gridio import load_operator, load_wave, save_operator, save_wave
-from moyal_lab.grid import sample
+from moyal_lab.grid import GridSpec, sample
 from moyal_lab.polysym import PolySymbol, Shape
 from moyal_lab.weylop import (OperatorMatrix, XGrid,
                               classical_evolve_quadratic, coherent_state,
@@ -18,6 +18,11 @@ from moyal_lab.weylop import (OperatorMatrix, XGrid,
                               quantize_via_covariant, symbol_from_operator)
 
 GRID = XGrid(128, 8.0, 1.0)
+
+
+def test_one_lattice_type():
+    assert XGrid is GridSpec
+    assert symbol_from_operator(position_operator(GRID)).spec is GRID
 
 
 def quiet_sample(ev, spec):
