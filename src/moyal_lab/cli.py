@@ -4,7 +4,9 @@ Subcommands: star, bracket, gvh, mpc, remainder, quantize, egorov,
 coherent.  Outputs are deterministic (sorted keys, exact rationals as
 "p/q" strings, shortest round-trip floats); every JSON payload carries the
 calibrated conventions table.  Exit codes: 0 success, 1 parse/config
-error, 2 numeric tolerance failure, 3 internal invariant failure.
+error or out of memory, 2 numeric tolerance or floating-point failure,
+3 internal invariant failure or any other error; every failure prints one
+"moyal-lab: ..." line to stderr.
 
 The environment variable MOYAL_LAB_THREADS caps worker threads of the
 numeric backends; it must be read before numpy loads, so the numeric
@@ -431,18 +433,23 @@ def main(argv=None) -> int:
             raise ValueError("--max-m must be >= 0")
         calibration_check(1)
         return args.func(args)
-    except ExprError as exc:
-        print(f"moyal-lab: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, OSError) as exc:
-        print(f"moyal-lab: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (ExprError, ValueError, OSError) as exc:
+        return _fail(EXIT_CONFIG, str(exc))
+    except MemoryError as exc:
+        return _fail(EXIT_CONFIG, f"out of memory: {exc}")
     except ToleranceFailure as exc:
-        print(f"moyal-lab: tolerance failure: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
+        return _fail(EXIT_TOLERANCE, f"tolerance failure: {exc}")
+    except FloatingPointError as exc:
+        return _fail(EXIT_TOLERANCE, f"floating-point failure: {exc}")
     except ConventionError as exc:
-        print(f"moyal-lab: internal invariant failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _fail(EXIT_INTERNAL, f"internal invariant failure: {exc}")
+    except Exception as exc:  # the last boundary: any other failure is a bug, reported in one line
+        return _fail(EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {exc}")
+
+
+def _fail(code: int, message: str) -> int:
+    print("moyal-lab: " + " ".join(message.splitlines()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

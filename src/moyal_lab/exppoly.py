@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .crational import I, ScalarLike
 from .polysym import PolySymbol, Shape, ShapeError
-from .star import ConventionError, _bidifferential_sum
+from .star import ConventionError, _bidifferential
 
 
 def _full_shape(d: int) -> Shape:
@@ -129,16 +129,6 @@ class ExpPolySymbol:
             p = p + self.prefactor * phase
         return ExpPolySymbol(p, self.sign)
 
-    def partial_multi(self, x=(), xi=()) -> "ExpPolySymbol":
-        out = self
-        for k, o in enumerate(x):
-            for _ in range(o):
-                out = out.partial("x", k)
-        for k, o in enumerate(xi):
-            for _ in range(o):
-                out = out.partial("xi", k)
-        return out
-
     def translated_x(self, coeff: Fraction, hbar_power: int = 1) -> "ExpPolySymbol":
         """Shift the prefactor argument: X -> X + coeff * hbar^p * Y.
 
@@ -176,18 +166,9 @@ def cj_exp(A: "ExpPolySymbol | PolySymbol", B: "ExpPolySymbol | PolySymbol",
                          "use the pure-exponential collapse")
     if j < 0:
         raise ValueError("order must be >= 0")
-    d = A.d
-    if j == 0:
-        return A * B
-    # when one side is a plain polynomial its derivatives vanish past its degree
-    if A.sign == 0 and B.sign != 0 and j > A.prefactor.degree():
-        return ExpPolySymbol(PolySymbol.zero(A.prefactor.shape), 0)
-    if B.sign == 0 and A.sign != 0 and j > B.prefactor.degree():
-        return ExpPolySymbol(PolySymbol.zero(A.prefactor.shape), 0)
-    zero = ExpPolySymbol(PolySymbol.zero(_full_shape(d)), 0)
-    result = _bidifferential_sum(A, B, d, j, zero)
-    expected_sign = A.sign + B.sign
-    if not result.is_zero and result.sign != expected_sign:
+    result = ExpPolySymbol(_bidifferential(A.prefactor, B.prefactor, (j,), (A.sign, B.sign))[j],
+                           A.sign + B.sign)
+    if not result.is_zero and result.sign != A.sign + B.sign:
         raise ConventionError("phase sign drifted in bidifferential sum")
     return result
 

@@ -228,6 +228,8 @@ def remainder_scaling_scan(A: SymbolEvaluator, B: SymbolEvaluator,
     Sup-norms below 1e-12 are reported with slope None ("exact within
     noise"): linear inputs make every remainder vanish identically.
     """
+    if any(o < 0 for o in orders):
+        raise ValueError(f"series orders must be >= 0, got {list(orders)}")
     rows = []
     slopes = {}
     sups: dict[int, list[tuple[float, float]]] = {o: [] for o in orders}

@@ -9,17 +9,32 @@ polynomials the series terminates at j = min(deg A, deg B), so the product
 is exact; the calibration anchor x * xi = x xi + i hbar/2 pins the sign
 stack (see conventions.py).
 
+The sum factorizes over the d axes.  On one axis, the monomials
+x^al xi^be (left) and x^ga xi^de (right) contribute x^(al+ga-s) xi^(be+de-s)
+at order s with the integer table entry
+
+    T[s] = sum_{a+b=s} (-1)^b C(be,a) [ga]_a C(al,b) [de]_b,   [g]_a = g(g-1)...(g-a+1),
+
+so a monomial pair gives its whole series at once as a product of d tables:
+order j = s_1 + ... + s_d, coefficient (-i/2)^j prod_k T_k[s_k].  Both
+operands are first put on a common denominator, every pair is accumulated
+in Python ints, and (-i/2)^j / (D_A D_B) is applied once per output term.
+A phase factor e^{i s L_Y} (exppoly) enters the same tables through the
+Leibniz terms of (d_x + i s eta)^b (d_xi - i s y)^a.
+
 Series are represented by `HbarSeries`: a finite map {j: PolySymbol} of
 hbar-power to coefficient symbol (coefficients carry no hbar block).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
-from math import factorial
-from typing import Iterator, Mapping
+from math import comb, factorial, gcd, lcm, perm
+from operator import add
+from typing import Mapping
 
-from .crational import CRational, I, ScalarLike, neg_i_power
+from .crational import CRational, I, ScalarLike
 from .polysym import PolySymbol, Shape, ShapeError, poisson_bracket, _check_same_shape
 
 
@@ -116,40 +131,100 @@ class HbarSeries:
         return " + ".join(f"hbar^{j}*[{self.coeff(j)!r}]" for j in self.orders())
 
 
-def _index_pairs(d: int, j: int) -> Iterator[tuple[tuple, tuple]]:
-    """All multi-index pairs (a, b), each of length d, with |a| + |b| = j."""
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-    for comp in compositions(j, 2 * d):
-        yield comp[:d], comp[d:]
+def _leibniz(n: int, e: int, sign: int) -> list:
+    """(d_t + i sign c)^n t^e = sum_k C(n,k) [e]_k (i sign c)^(n-k) t^(e-k), as
+    [(k, C(n,k) [e]_k sign^(n-k))]; without a phase only k = n survives."""
+    return [(k, comb(n, k) * perm(e, k) * sign ** (n - k)) for k in range(0 if sign else n, min(n, e) + 1)]
 
 
-def _bidifferential_sum(A, B, d: int, j: int, acc):
-    """C_j(A, B) by the index-pair sum of the module docstring, added onto `acc`.
+def _axis_table(ea: tuple, eb: tuple, sa: int, sb: int, smax: int) -> list:
+    """[(s, output exponents, s! T[s])] on one axis for exponents ea, eb: (x, xi[, y, eta]).
 
-    Serves every operand type with `partial_multi`, `is_zero`, `*`, `+` and
-    `scaled`: polynomial symbols here, exponential test symbols in exppoly.
+    With phase signs sa, sb the derivatives expand by Leibniz, each phase
+    factor counted without its i (restored from the output Y degree).
     """
-    for a, b in _index_pairs(d, j):
-        dA = A.partial_multi(x=b, xi=a)
-        if dA.is_zero:
-            continue
-        dB = B.partial_multi(x=a, xi=b)
-        if dB.is_zero:
-            continue
-        sign = -1 if sum(b) % 2 else 1
-        fac = 1
-        for t in a:
-            fac *= factorial(t)
-        for t in b:
-            fac *= factorial(t)
-        acc = acc + (dA * dB).scaled(Fraction(sign, fac))
-    return acc.scaled(neg_i_power(j) * Fraction(1, 2 ** j))
+    al, be, ga, de = ea[0], ea[1], eb[0], eb[1]
+    top = min(smax, al + be + ga + de)     # every term of the series differentiates
+    # order a: d_xi^a on the left, d_x^a on the right; order b: d_x^b left, d_xi^b right
+    on_a = [[(q, r, u * v) for q, u in _leibniz(a, be, -sa) for r, v in _leibniz(a, ga, sb)]
+            for a in range(min(top, top if sa else be, top if sb else ga) + 1)]
+    on_b = [[(p, t, u * v) for p, u in _leibniz(b, al, sa) for t, v in _leibniz(b, de, -sb)]
+            for b in range(min(top, top if sa else al, top if sb else de) + 1)]
+    sums: dict = defaultdict(int)
+    for a, terms_a in enumerate(on_a):
+        for b in range(min(len(on_b), top - a + 1)):
+            w = comb(a + b, a) * (-1) ** b            # s!/(a! b!)
+            for q, r, u in terms_a:
+                for p, t, v in on_b[b]:
+                    sums[a + b, p + r, q + t] += w * u * v
+    table = []
+    for (s, P, Q), v in sums.items():
+        out = (al + ga - P, be + de - Q)
+        if len(ea) == 4:                   # each phase factor raises the Y degree by one
+            out += (ea[2] + eb[2] + s - Q, ea[3] + eb[3] + s - P)
+        if v:
+            table.append((s, out, v))
+    return table
+
+
+def _on_common_denominator(p: PolySymbol, w: int) -> tuple[int, list]:
+    """(D, [(per-axis exponents, hbar exponent, re, im)]) with p = sum (re + i im) X^e / D,
+    each (re, im) times i^-(Y degree) so that the phases' powers of i can be restored."""
+    d = p.shape.d
+    D = lcm(*(q.denominator for c in p.terms.values() for q in (c.re, c.im)))
+    out = []
+    for e, c in p.terms.items():
+        re, im = c.re.numerator * (D // c.re.denominator), c.im.numerator * (D // c.im.denominator)
+        for _ in range(sum(e[2 * d:w * d]) % 4):
+            re, im = im, -re
+        out.append((tuple(tuple(e[k + b * d] for b in range(w)) for k in range(d)),
+                    e[w * d:], re, im))
+    return D, out
+
+
+def _bidifferential(A: PolySymbol, B: PolySymbol, orders, signs=(0, 0),
+                    bracket: bool = False) -> dict[int, PolySymbol]:
+    """{j: C_j(A, B)} for j in `orders` by the per-axis tables of the module
+    docstring; with `bracket`, {j: i (C_j(A, B) - C_j(B, A))}.
+
+    `signs` are the phase signs s of the factors e^{i s L_Y} on A and B.
+    """
+    orders, shape, d = set(orders), A.shape, A.shape.d
+    w, jmax = (4 if shape.has_y else 2), max(orders, default=-1)
+    DA, At = _on_common_denominator(A, w)
+    DB, Bt = _on_common_denominator(B, w)
+    passes = [(At, Bt, signs, 1)] + ([(Bt, At, signs[::-1], -1)] if bracket else [])
+    keys = {(ea, eb, sa, sb) for Lt, Rt, (sa, sb), _ in passes for k in range(d)
+            for ea in {t[0][k] for t in Lt} for eb in {t[0][k] for t in Rt}}
+    tables = {key: _axis_table(*key, jmax) for key in keys}
+    fact = [factorial(s) for s in range(jmax + 1)]
+    # entries are s! T[s]; T[s] is an integer without phases, and L clears what phases leave
+    L = lcm(*(fact[s] // gcd(v, fact[s]) for table in tables.values() for s, _, v in table))
+    tables = {key: [(s, out, v * L // fact[s]) for s, out, v in t] for key, t in tables.items()}
+    acc: dict = defaultdict(lambda: [0, 0])  # (j, hbar exponent + axis exponents) -> [re, im]
+    for Lt, Rt, (sa, sb), sign in passes:
+        for axA, tailA, ar, ai in Lt:
+            for axB, tailB, br, bi in Rt:
+                cr, ci = sign * (ar * br - ai * bi), sign * (ar * bi + ai * br)
+                rows = [(0, tuple(map(add, tailA, tailB)), 1)]
+                for k in range(d):
+                    rows = [(j + s, key + out, v * u) for j, key, v in rows
+                            for s, out, u in tables[axA[k], axB[k], sa, sb] if j + s <= jmax]
+                for j, key, v in rows:
+                    if j in orders:
+                        c = acc[j, key]
+                        c[0] += v * cr
+                        c[1] += v * ci
+    nt, base = (1 if shape.has_hbar else 0), L ** d * DA * DB
+    terms: dict = {j: {} for j in orders}
+    for (j, key), (re, im) in acc.items():
+        axes = key[nt:]
+        e = tuple(axes[k * w + b] for b in range(w) for k in range(d)) + key[:nt]
+        # times (-i)^j = i^3j, the phases' i^(Y degree), and the bracket's i
+        for _ in range((3 * j + sum(e[2 * d:w * d]) + bracket) % 4):
+            re, im = -im, re
+        terms[j][e] = CRational(Fraction(re, base << j), Fraction(im, base << j))
+    return {j: PolySymbol(shape, t) for j, t in terms.items()}
 
 
 def cj_coefficient(A: PolySymbol, B: PolySymbol, j: int) -> PolySymbol:
@@ -157,23 +232,15 @@ def cj_coefficient(A: PolySymbol, B: PolySymbol, j: int) -> PolySymbol:
     _check_same_shape(A, B)
     if j < 0:
         raise ValueError("order must be >= 0")
-    if j == 0:
-        return A * B
     if j > min(A.degree(), B.degree()):
         return PolySymbol.zero(A.shape)
-    return _bidifferential_sum(A, B, A.shape.d, j, PolySymbol.zero(A.shape))
+    return _bidifferential(A, B, (j,))[j]
 
 
 def moyal_product(A: PolySymbol, B: PolySymbol) -> HbarSeries:
     """A * B as an exact finite hbar-series (terminates on polynomials)."""
     _check_same_shape(A, B)
-    jmax = min(A.degree(), B.degree())
-    coeffs = {}
-    for j in range(max(jmax, 0) + 1):
-        c = cj_coefficient(A, B, j)
-        if not c.is_zero:
-            coeffs[j] = c
-    return HbarSeries(A.shape, coeffs)
+    return HbarSeries(A.shape, _bidifferential(A, B, range(min(A.degree(), B.degree()) + 1)))
 
 
 def star(A, B) -> HbarSeries:
@@ -204,17 +271,17 @@ def bracket_term(A: PolySymbol, B: PolySymbol, j: int) -> PolySymbol:
 def moyal_bracket(A: PolySymbol, B: PolySymbol) -> HbarSeries:
     """{A,B}_star = (i/hbar)(A*B - B*A) = sum over odd j of hbar^(j-1) {A,B}_j.
 
-    The hbar^0 coefficient equals the Poisson bracket exactly; for real
-    inputs every coefficient is real.
+    C_j(A,B) - C_j(B,A) is accumulated at every order; the even orders must
+    cancel, guarding the convention stack against sign drift.  The hbar^0
+    coefficient equals the Poisson bracket exactly; for real inputs every
+    coefficient is real.
     """
     _check_same_shape(A, B)
-    jmax = min(A.degree(), B.degree())
-    coeffs = {}
-    for j in range(1, max(jmax, 0) + 1, 2):
-        t = bracket_term(A, B, j)
-        if not t.is_zero:
-            coeffs[j - 1] = t
-    return HbarSeries(A.shape, coeffs)
+    terms = _bidifferential(A, B, range(1, min(A.degree(), B.degree()) + 1), bracket=True)
+    for j, p in terms.items():
+        if j % 2 == 0 and not p.is_zero:
+            raise ConventionError(f"even-order bracket term j={j} did not cancel")
+    return HbarSeries(A.shape, {j - 1: p for j, p in terms.items() if j % 2})
 
 
 def moyal_bracket_series(A, B) -> HbarSeries:

@@ -4,6 +4,11 @@ Deliberately separate from the package: its own polynomial representation
 (dict of exponent tuples -> (re, im) Fraction pairs over the 2d phase
 variables), its own derivative code, its own multi-index enumeration.
 The engine must agree with this on frozen examples and random inputs.
+
+`brute_cj_exp` is the one exception: exponential test symbols have no
+representation here, so it runs the index-pair sum on the package's
+`ExpPolySymbol`, using only its single-variable `partial` and its ring
+operations, never the engine's bidifferential kernel.
 """
 
 from __future__ import annotations
@@ -106,6 +111,36 @@ def brute_cj(A, B, j, d):
                 fac = -fac
             acc = p_add(acc, p_scale(p_mul(dA, dB), fac))
     return p_scale(acc, Fraction(1, 2 ** j))
+
+
+def brute_cj_exp(A, B, j):
+    """C_j(A, B) of two ExpPolySymbols by the index-pair sum, D = -i grad.
+
+    Every derivative is a chain of `ExpPolySymbol.partial` calls, so the
+    phase factor's Leibniz terms come from the one-variable rule alone.
+    """
+    from moyal_lab.crational import CRational
+
+    d = A.d
+
+    def deriv(E, x_orders, xi_orders):
+        for k in range(d):
+            for _ in range(x_orders[k]):
+                E = E.partial("x", k)
+            for _ in range(xi_orders[k]):
+                E = E.partial("xi", k)
+        return E
+
+    acc = A.scaled(0)
+    for alpha in multi_indices(d, j):
+        for beta in multi_indices(d, j - sum(alpha)):
+            if sum(alpha) + sum(beta) != j:
+                continue
+            fac = Fraction((-1) ** sum(beta))
+            for t in alpha + beta:
+                fac /= factorial(t)
+            acc = acc + (deriv(A, beta, alpha) * deriv(B, alpha, beta)).scaled(fac)
+    return acc.scaled(CRational(0, Fraction(-1, 2)) ** j)
 
 
 def brute_poisson(A, B, d):

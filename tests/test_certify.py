@@ -13,6 +13,7 @@ from moyal_lab.exppoly import (ExpPolySymbol, cj_exp, pure_exp_collapse,
 from moyal_lab.polysym import PolySymbol, Shape, directional_power
 from moyal_lab.star import bracket_discrepancy
 
+from brute_oracle import brute_cj_exp
 from test_polysym import rand_poly
 
 
@@ -75,6 +76,48 @@ def test_cj_exp_c1_directional():
                                  .promoted(T.prefactor.shape)
                                  .scaled(Fraction(1, 2)), -1)
         assert c1 == expected
+
+
+SIGN_PAIRS = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)]
+
+
+def rand_prefactor(rng, d, deg, nterms):
+    """A random prefactor in (X, Y, hbar): X part up to `deg`, small Y and hbar powers."""
+    full = Shape(d, True, True)
+    p = PolySymbol.zero(full)
+    for _ in range(nterms):
+        e = [0] * full.nvars
+        for _ in range(rng.randint(0, deg)):
+            e[rng.randrange(2 * d)] += 1
+        e[rng.choice([full.slot("y", rng.randrange(d)), full.slot("eta", rng.randrange(d))])] \
+            += rng.randint(0, 2)
+        e[full.slot("hbar")] = rng.randint(0, 1)
+        p = p + PolySymbol.monomial(full, e, Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                    + I * Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+    return p
+
+
+@pytest.mark.parametrize("signs", SIGN_PAIRS)
+def test_cj_exp_against_index_pair_reference(signs):
+    rng = random.Random(300 + 7 * signs[0] + signs[1])
+    for d, deg in ((1, 3), (2, 2)):
+        for _ in range(2):
+            A = ExpPolySymbol(rand_prefactor(rng, d, deg, 3), signs[0])
+            B = ExpPolySymbol(rand_prefactor(rng, d, deg, 3), signs[1])
+            for j in range(2 * deg + 2):      # past termination for every sign pair
+                assert cj_exp(A, B, j) == brute_cj_exp(A, B, j), (d, j)
+
+
+def test_cj_exp_unit_test_symbol_against_reference():
+    rng = random.Random(310)
+    for d in (1, 2):
+        T = ExpPolySymbol.test_symbol(d)
+        for _ in range(3):
+            H = rand_poly(rng, Shape(d), 4)
+            for j in range(6):
+                assert cj_exp(T, H, j) == brute_cj_exp(T, ExpPolySymbol.from_poly(H), j)
+                assert cj_exp(H, T.conjugated(), j) == \
+                    brute_cj_exp(ExpPolySymbol.from_poly(H), T.conjugated(), j)
 
 
 def test_cj_exp_like_sign_rejected():

@@ -2,6 +2,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
+import moyal_lab.grid
+from moyal_lab import cli
+
 CLI = [sys.executable, "-m", "moyal_lab.cli"]
 
 
@@ -80,11 +86,40 @@ def test_exit_codes():
                  ["remainder", "--A", "gauss(1)", "--B", "gauss(1)", "--orders", "1",
                   "--hbars", ","],
                  ["coherent", "--A", "x^2", "--Y", "1,0", "--hbars", ","],
-                 ["gvh", "--H", "x^3", "--max-m", "-1"]):
+                 ["gvh", "--H", "x^3", "--max-m", "-1"],
+                 ["remainder", "--A", "gauss(1)", "--B", "gauss(1)", "--orders", "-1",
+                  "--hbars", "0.5,0.25", "--N", "32", "--format", "csv"]):
         out = run_cli(*argv)
         assert out.returncode == 1, argv
         assert out.stdout == ""
         assert len(out.stderr.splitlines()) == 1 and "Traceback" not in out.stderr
+
+
+def _array_memory_error():
+    """numpy's own allocation failure, built without allocating anything."""
+    exceptions = getattr(np, "_core", None) or np.core
+    return exceptions._exceptions._ArrayMemoryError((1024,) * 3, np.dtype(np.complex128))
+
+
+@pytest.mark.parametrize("make_exc, code", [
+    (lambda: MemoryError("no room"), 1),
+    (_array_memory_error, 1),
+    (lambda: FloatingPointError("invalid value encountered in multiply"), 2),
+    (lambda: RuntimeError("unexpected\nstate"), 3),
+    (lambda: KeyError("slot"), 3),
+])
+def test_exit_code_contract_in_process(monkeypatch, capsys, make_exc, code):
+    def failing_star_grid(*args, **kwargs):
+        raise make_exc()
+
+    monkeypatch.setattr(moyal_lab.grid, "star_grid", failing_star_grid)
+    rc = cli.main(["star", "--A", "gauss(1)", "--B", "gauss(1)", "--mode", "grid",
+                   "--N", "16", "--L", "6"])
+    out, err = capsys.readouterr()
+    assert rc == code
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("moyal-lab: ")
+    assert "Traceback" not in err
 
 
 def test_output_to_file(tmp_path):

@@ -168,6 +168,14 @@ def test_remainder_scaling_slopes():
     assert res["slopes"][2] >= 2.8
 
 
+def test_remainder_scan_rejects_negative_orders():
+    spec = GridSpec(16, 6.0, 1.0)
+    A = SymbolEvaluator.gauss(1.0)
+    for orders in ([-1], [1, -2]):
+        with pytest.raises(ValueError, match="orders"):
+            remainder_scaling_scan(A, A, orders, [0.5, 0.25], spec)
+
+
 def test_remainder_noise_floor_reported_as_none():
     spec = GridSpec(64, 8.0, 1.0)
     Z = SymbolEvaluator.zero()

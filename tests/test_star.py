@@ -79,6 +79,67 @@ def test_cj_against_brute_force_random(d):
             assert from_engine(eng) == brute
 
 
+@pytest.mark.parametrize("d, deg", [(1, 6), (2, 4), (3, 3)])
+def test_kernel_against_brute_force_past_termination(d, deg):
+    rng = random.Random(200 + d)
+    s = Shape(d)
+    for _ in range(3):
+        A = rand_poly(rng, s, deg, nterms=5)
+        B = rand_poly(rng, s, deg, nterms=5)
+        top = min(A.degree(), B.degree())
+        prod = moyal_product(A, B)
+        for j in range(top + 3):
+            brute = brute_cj(from_engine(A), from_engine(B), j, d)
+            assert from_engine(cj_coefficient(A, B, j)) == brute
+            assert from_engine(prod.coeff(j)) == brute
+        assert max(prod.orders(), default=0) <= top
+
+
+def test_kernel_degree_six_against_brute_force():
+    rng = random.Random(206)
+    for d in (1, 2):
+        s = Shape(d)
+        A = rand_poly(rng, s, 6, nterms=4)
+        B = rand_poly(rng, s, 6, nterms=4)
+        prod = moyal_product(A, B)
+        for j in range(min(A.degree(), B.degree()) + 2):
+            assert from_engine(prod.coeff(j)) == brute_cj(from_engine(A), from_engine(B), j, d)
+
+
+def test_kernel_carries_y_and_hbar_blocks():
+    """Y and hbar are parameters of the X-bidifferential: they ride along."""
+    rng = random.Random(207)
+    for d in (1, 2):
+        for has_y, has_hbar in ((True, False), (False, True), (True, True)):
+            s, big = Shape(d), Shape(d, has_y, has_hbar)
+            A = rand_poly(rng, s, 4, nterms=4)
+            B = rand_poly(rng, s, 4, nterms=4)
+            ya, yb = [0] * big.nvars, [0] * big.nvars
+            if has_y:
+                ya[big.slot("y", d - 1)], yb[big.slot("eta", 0)] = 2, 1
+            if has_hbar:
+                ya[big.slot("hbar")] = 1
+            MA = PolySymbol.monomial(big, ya, I)
+            MB = PolySymbol.monomial(big, yb, Fraction(3, 2))
+            Ap, Bp = A.promoted(big), B.promoted(big)
+            for j in range(min(A.degree(), B.degree()) + 2):
+                c = cj_coefficient(A, B, j).promoted(big)
+                assert cj_coefficient(Ap, Bp, j) == c
+                assert cj_coefficient(Ap * MA, Bp * MB, j) == c * MA * MB
+
+
+def test_moyal_bracket_sums_bracket_terms():
+    rng = random.Random(208)
+    for d in (1, 2):
+        s = Shape(d)
+        for _ in range(4):
+            A = rand_poly(rng, s, 5)
+            B = rand_poly(rng, s, 5)
+            top = min(A.degree(), B.degree())
+            terms = {j - 1: bracket_term(A, B, j) for j in range(1, top + 1, 2)}
+            assert moyal_bracket(A, B) == HbarSeries(s, terms)
+
+
 def test_poisson_against_brute_force():
     rng = random.Random(31)
     for d in (1, 2):
