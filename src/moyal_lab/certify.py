@@ -14,9 +14,9 @@ of H of order 2j+1 vanishes.  Consequently the truncation at order m is
 exact if and only if deg H <= 2m + 2; otherwise the first surviving
 coefficient is a nonzero witness polynomial, returned as a certificate.
 
-Everything here is computed twice, by independent routes (terminating
-bidifferential series vs. the collapse closed form), and route
-disagreement raises ConventionError.
+Test-family brackets are computed twice, by independent routes
+(terminating bidifferential series vs. the collapse closed form), and
+route disagreement raises ConventionError.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ from .crational import CRational, I
 from .polysym import PolySymbol, Shape, directional_power
 from .star import ConventionError
 from .exppoly import ExpPolySymbol, cj_exp, pure_exp_collapse
-
-
-def _embed_xy(H: PolySymbol) -> PolySymbol:
-    return H.promoted(Shape(H.shape.d, True, H.shape.has_hbar))
 
 
 def bracket_term_exp(H: PolySymbol, j: int) -> PolySymbol:
@@ -185,16 +181,6 @@ def mpc_identity_check(H: PolySymbol) -> MpcReport:
     F = ExpPolySymbol.from_poly(grad_dir) * T    # (Y.grad H) e^{-iL_Y}
     C = pure_exp_collapse(F, "right", +1)        # ... * e^{+iL_Y}
     lhs = C.as_poly()
-
-    # independent check of the closed form: direct translation by +hbar Y/2
-    full = lhs.shape
-    shifts = [PolySymbol.var(full, "y", k).scaled(Fraction(1, 2)).hbar_shifted(1)
-              for k in range(d)]
-    shifts += [PolySymbol.var(full, "eta", k).scaled(Fraction(1, 2)).hbar_shifted(1)
-               for k in range(d)]
-    direct = grad_dir.promoted(full).translated(shifts)
-    if lhs != direct:
-        raise ConventionError("collapse route disagrees with direct translation")
 
     at1 = lhs.at_hbar(1)
     c0 = at1.homogeneous_part(1, "y", "eta")

@@ -11,6 +11,10 @@ X -> M X + v, which covers everything the grid and operator modules need:
 polynomials, Gaussian-enveloped polynomials, phase exponentials exp(isL_Y),
 Gaussian bumps, and their transports under linear symplectic flows.
 
+P is a 2-D complex coefficient array, P[a, b] multiplying x^a xi^b: sums
+pad and add, products convolve, derivatives are shifted slices.  A
+{(a, b): coeff} dict is accepted only by `SymbolEvaluator.polynomial`.
+
 Derivatives are analytic; a self-test against central finite differences
 lives in the test suite.
 """
@@ -19,76 +23,51 @@ from __future__ import annotations
 
 import numpy as np
 
-# -- complex-coefficient polynomials in (x, xi): {(a, b): coeff} ------------
+# -- complex polynomials in (x, xi): 2-D arrays, c[a, b] multiplies x^a xi^b --
 
 
 def np_add(p, q):
-    out = dict(p)
-    for e, c in q.items():
-        s = out.get(e, 0j) + c
-        if s == 0:
-            out.pop(e, None)
-        else:
-            out[e] = s
+    out = np.zeros((max(p.shape[0], q.shape[0]), max(p.shape[1], q.shape[1])), dtype=complex)
+    out[:p.shape[0], :p.shape[1]] += p
+    out[:q.shape[0], :q.shape[1]] += q
     return out
 
 
 def np_mul(p, q):
-    out = {}
-    for (a1, b1), c1 in p.items():
-        for (a2, b2), c2 in q.items():
-            e = (a1 + a2, b1 + b2)
-            s = out.get(e, 0j) + c1 * c2
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
+    """2-D convolution, accumulated over the nonzero coefficients of p."""
+    out = np.zeros((p.shape[0] + q.shape[0] - 1, p.shape[1] + q.shape[1] - 1), dtype=complex)
+    for a, b in zip(*np.nonzero(p)):
+        out[a:a + q.shape[0], b:b + q.shape[1]] += p[a, b] * q
     return out
 
 
-def np_scale(p, c):
-    if c == 0:
-        return {}
-    return {e: v * c for e, v in p.items()}
-
-
 def np_partial(p, var):
-    out = {}
-    for e, c in p.items():
-        if e[var] == 0:
-            continue
-        ne = (e[0] - 1, e[1]) if var == 0 else (e[0], e[1] - 1)
-        out[ne] = out.get(ne, 0j) + c * e[var]
-    return {e: c for e, c in out.items() if c != 0}
+    n = p.shape[var]
+    if n == 1:
+        return np.zeros((1, 1), dtype=complex)
+    e = np.arange(1, n)
+    return p[1:] * e[:, None] if var == 0 else p[:, 1:] * e
 
 
 def np_eval(p, x, xi):
+    x, xi = np.asarray(x), np.asarray(xi)
     total = np.zeros(np.broadcast(x, xi).shape, dtype=complex)
-    for (a, b), c in p.items():
-        total = total + c * np.asarray(x) ** a * np.asarray(xi) ** b
+    # monomial by monomial, not Horner: sampled values keep the rounding of a sparse sum
+    for a, b in zip(*np.nonzero(p)):
+        total = total + p[a, b] * x ** int(a) * xi ** int(b)
     return total
 
 
 def np_affine(p, M, v):
     """P(M X + v) by substitution; M is 2x2, v length 2."""
-    img_x = {(1, 0): complex(M[0, 0]), (0, 1): complex(M[0, 1])}
-    img_xi = {(1, 0): complex(M[1, 0]), (0, 1): complex(M[1, 1])}
-    if v[0]:
-        img_x[(0, 0)] = complex(v[0])
-    if v[1]:
-        img_xi[(0, 0)] = complex(v[1])
-    out = {}
-    pow_cache = {0: [{(0, 0): 1.0 + 0j}], 1: [{(0, 0): 1.0 + 0j}]}
-    imgs = (img_x, img_xi)
-    for (a, b), c in p.items():
-        piece = {(0, 0): c}
+    imgs = [np.array([[v[i], M[i, 1]], [M[i, 0], 0.0]], dtype=complex) for i in (0, 1)]
+    pows = ([np.ones((1, 1), dtype=complex)], [np.ones((1, 1), dtype=complex)])
+    out = np.zeros((1, 1), dtype=complex)
+    for a, b in zip(*np.nonzero(p)):
         for var, e in ((0, a), (1, b)):
-            cache = pow_cache[var]
-            while len(cache) <= e:
-                cache.append(np_mul(cache[-1], imgs[var]))
-            if e:
-                piece = np_mul(piece, cache[e])
-        out = np_add(out, piece)
+            while len(pows[var]) <= e:
+                pows[var].append(np_mul(pows[var][-1], imgs[var]))
+        out = np_add(out, np_mul(p[a, b] * pows[0][a], pows[1][b]))
     return out
 
 
@@ -98,7 +77,7 @@ class GaussAtom:
     __slots__ = ("poly", "Q", "center", "k")
 
     def __init__(self, poly, Q=None, center=(0.0, 0.0), k=None):
-        self.poly = {e: complex(c) for e, c in poly.items() if c != 0}
+        self.poly = np.asarray(poly, dtype=complex)
         self.Q = None if Q is None else np.array(Q, dtype=float).reshape(2, 2)
         self.center = np.array(center, dtype=float).reshape(2)
         self.k = None if k is None else np.array(k, dtype=float).reshape(2)
@@ -119,11 +98,11 @@ class GaussAtom:
         p = np_partial(self.poly, var)
         if self.Q is not None:
             row = self.Q[var]
-            lin = {(1, 0): -2.0 * row[0], (0, 1): -2.0 * row[1],
-                   (0, 0): 2.0 * float(row @ self.center)}
+            lin = np.array([[2.0 * float(row @ self.center), -2.0 * row[1]],
+                            [-2.0 * row[0], 0.0]], dtype=complex)
             p = np_add(p, np_mul(self.poly, lin))
         if self.k is not None and self.k[var]:
-            p = np_add(p, np_scale(self.poly, 1j * self.k[var]))
+            p = np_add(p, self.poly * (1j * self.k[var]))
         return GaussAtom(p, self.Q, self.center, self.k)
 
     def times(self, other: "GaussAtom") -> "GaussAtom":
@@ -147,7 +126,7 @@ class GaussAtom:
         f = np.linalg.solve(Q, rhs)
         const = float(self.center @ self.Q @ self.center
                       + other.center @ other.Q @ other.center - f @ Q @ f)
-        return GaussAtom(np_scale(poly, np.exp(-const)), Q, f, k)
+        return GaussAtom(poly * np.exp(-const), Q, f, k)
 
     def compose_affine(self, M, v) -> "GaussAtom":
         """The atom evaluated at M X + v (M invertible)."""
@@ -162,7 +141,7 @@ class GaussAtom:
         if self.k is not None:
             k = M.T @ self.k
             phase = np.exp(1j * float(self.k @ v))
-            poly = np_scale(poly, phase)
+            poly = poly * phase
         return GaussAtom(poly, Q, (0, 0) if center is None else center, k)
 
 
@@ -172,7 +151,7 @@ class SymbolEvaluator:
     __slots__ = ("atoms",)
 
     def __init__(self, atoms):
-        self.atoms = [a for a in atoms if a.poly]
+        self.atoms = [a for a in atoms if a.poly.any()]
 
     # -- constructors ------------------------------------------------------
 
@@ -183,7 +162,11 @@ class SymbolEvaluator:
     @classmethod
     def polynomial(cls, coeffs) -> "SymbolEvaluator":
         """From {(a, b): coeff} exponents of x^a xi^b."""
-        return cls([GaussAtom(coeffs)])
+        poly = np.zeros((max([a for a, _ in coeffs], default=0) + 1,
+                         max([b for _, b in coeffs], default=0) + 1), dtype=complex)
+        for (a, b), c in coeffs.items():
+            poly[a, b] = complex(c)
+        return cls([GaussAtom(poly)])
 
     @classmethod
     def from_polysymbol(cls, p) -> "SymbolEvaluator":
@@ -198,13 +181,13 @@ class SymbolEvaluator:
         a = float(a)
         if a <= 0:
             raise ValueError("gaussian decay rate must be positive")
-        return cls([GaussAtom({(0, 0): 1.0}, np.eye(2) * a, center)])
+        return cls([GaussAtom([[1.0]], np.eye(2) * a, center)])
 
     @classmethod
     def phase_exp(cls, sign, Y) -> "SymbolEvaluator":
         """exp(i s L_Y) for numeric Y = (y, eta): k = (s eta, -s y)."""
         y, eta = float(Y[0]), float(Y[1])
-        return cls([GaussAtom({(0, 0): 1.0}, None, (0, 0), (sign * eta, -sign * y))])
+        return cls([GaussAtom([[1.0]], None, (0, 0), (sign * eta, -sign * y))])
 
     # -- algebra ---------------------------------------------------------------
 
@@ -221,7 +204,7 @@ class SymbolEvaluator:
         return SymbolEvaluator([a.times(b) for a in self.atoms for b in other.atoms])
 
     def scaled(self, c) -> "SymbolEvaluator":
-        return SymbolEvaluator([GaussAtom(np_scale(a.poly, c), a.Q, a.center, a.k)
+        return SymbolEvaluator([GaussAtom(a.poly * complex(c), a.Q, a.center, a.k)
                                 for a in self.atoms])
 
     def partial(self, block: str) -> "SymbolEvaluator":
@@ -232,12 +215,8 @@ class SymbolEvaluator:
         return SymbolEvaluator([a.compose_affine(M, v) for a in self.atoms])
 
     def conjugated(self) -> "SymbolEvaluator":
-        out = []
-        for a in self.atoms:
-            poly = {e: np.conj(c) for e, c in a.poly.items()}
-            k = None if a.k is None else -a.k
-            out.append(GaussAtom(poly, a.Q, a.center, k))
-        return SymbolEvaluator(out)
+        return SymbolEvaluator([GaussAtom(a.poly.conj(), a.Q, a.center,
+                                          None if a.k is None else -a.k) for a in self.atoms])
 
 
 def poisson_bracket_eval(A: SymbolEvaluator, B: SymbolEvaluator) -> SymbolEvaluator:

@@ -129,21 +129,15 @@ class ExpPolySymbol:
             p = p + self.prefactor * phase
         return ExpPolySymbol(p, self.sign)
 
-    def translated_x(self, coeff: Fraction, hbar_power: int = 1) -> "ExpPolySymbol":
-        """Shift the prefactor argument: X -> X + coeff * hbar^p * Y.
+    def translated_x(self, coeff: Fraction) -> "ExpPolySymbol":
+        """Shift the prefactor argument: X -> X + coeff * hbar * Y.
 
         The phase factor is invariant under shifts along Y since
         L_Y(Y) = sigma(Y, Y) = 0.
         """
         full = self.prefactor.shape
-        d = full.d
-        shifts = []
-        for k in range(d):
-            s = PolySymbol.var(full, "y", k).scaled(coeff)
-            shifts.append(s.hbar_shifted(hbar_power) if hbar_power else s)
-        for k in range(d):
-            s = PolySymbol.var(full, "eta", k).scaled(coeff)
-            shifts.append(s.hbar_shifted(hbar_power) if hbar_power else s)
+        shifts = [PolySymbol.var(full, block, k).scaled(coeff).hbar_shifted(1)
+                  for block in ("y", "eta") for k in range(full.d)]
         return ExpPolySymbol(self.prefactor.translated(shifts), self.sign)
 
 
@@ -195,7 +189,7 @@ def pure_exp_collapse(F: ExpPolySymbol, side: str, pure_sign: int) -> ExpPolySym
         coeff = Fraction(-pure_sign, 2)
     else:
         raise ValueError("side must be 'left' or 'right'")
-    shifted = F.translated_x(coeff, hbar_power=1)
+    shifted = F.translated_x(coeff)
     return ExpPolySymbol(shifted.prefactor, F.sign + pure_sign)
 
 

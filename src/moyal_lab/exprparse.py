@@ -17,7 +17,8 @@ multiplication):
 The slash appears only inside rational literals; there is no division
 operator.  Exponents are non-negative integer literals.  Expressions lower
 either to exact `PolySymbol`s (no gauss factors allowed) or to numeric
-`SymbolEvaluator`s (d = 1, at most one gauss factor per product term).
+`SymbolEvaluator`s (d = 1, at most one gauss factor per product term, one
+atom per distinct gauss rate).
 """
 
 from __future__ import annotations
@@ -330,53 +331,58 @@ def lower_poly(node: Node, d: int = 1, allow_y: bool = False,
 
 
 def lower_evaluator(node: Node):
-    """Lower to a numeric SymbolEvaluator (d = 1, one gauss per term)."""
+    """Lower to a numeric SymbolEvaluator (d = 1, one gauss per product term).
+
+    The expression lowers exactly to {gauss rate or None: PolySymbol}, so
+    like terms merge and the evaluator has one atom per distinct rate.
+    """
     from .evaluators import SymbolEvaluator
 
     shape = Shape(1)
 
-    # a term list [(poly, rate or None)]; sums concatenate, products combine
+    def plus(f, g):
+        out = dict(f)
+        for r, p in g.items():
+            out[r] = out[r] + p if r in out else p
+        return out
+
+    def times(f, g, pos):
+        out = {}
+        for r1, p1 in f.items():
+            for r2, p2 in g.items():
+                if r1 is not None and r2 is not None:
+                    raise ExprError("at most one gauss factor per product term", pos)
+                out = plus(out, {r1 if r1 is not None else r2: p1 * p2})
+        return out
+
     def go(n):
         if isinstance(n, Lit):
-            return [(PolySymbol.const(shape, CRational(n.value)), None)]
+            return {None: PolySymbol.const(shape, CRational(n.value))}
         if isinstance(n, Var):
             block, axis = _var_target(n.name, 1)
             if block in ("y", "eta", "hbar"):
                 raise ExprError(f"variable {n.name!r} not allowed in a grid symbol", n.span[0])
-            return [(PolySymbol.var(shape, block, axis), None)]
+            return {None: PolySymbol.var(shape, block, axis)}
         if isinstance(n, Gauss):
-            return [(PolySymbol.const(shape, 1), n.rate)]
+            return {n.rate: PolySymbol.const(shape, 1)}
         if isinstance(n, Neg):
-            return [(-p, r) for p, r in go(n.arg)]
+            return {r: -p for r, p in go(n.arg).items()}
         if isinstance(n, Add):
-            return go(n.left) + go(n.right)
+            return plus(go(n.left), go(n.right))
         if isinstance(n, Sub):
-            return go(n.left) + [(-p, r) for p, r in go(n.right)]
+            return plus(go(n.left), {r: -p for r, p in go(n.right).items()})
         if isinstance(n, Mul):
-            out = []
-            for p1, r1 in go(n.left):
-                for p2, r2 in go(n.right):
-                    if r1 is not None and r2 is not None:
-                        raise ExprError("at most one gauss factor per product term",
-                                        n.span[0])
-                    out.append((p1 * p2, r1 if r1 is not None else r2))
-            return out
+            return times(go(n.left), go(n.right), n.span[0])
         if isinstance(n, Pow):
-            out = [(PolySymbol.const(shape, 1), None)]
+            base = go(n.base)
+            out = {None: PolySymbol.const(shape, 1)}
             for _ in range(n.exponent):
-                nxt = []
-                for p1, r1 in out:
-                    for p2, r2 in go(n.base):
-                        if r1 is not None and r2 is not None:
-                            raise ExprError("at most one gauss factor per product term",
-                                            n.span[0])
-                        nxt.append((p1 * p2, r1 if r1 is not None else r2))
-                out = nxt
+                out = times(out, base, n.span[0])
             return out
         raise TypeError(f"unknown node {n!r}")
 
     ev = SymbolEvaluator.zero()
-    for poly, rate in go(node):
+    for rate, poly in go(node).items():
         piece = SymbolEvaluator.from_polysymbol(poly)
         if rate is not None:
             piece = piece * SymbolEvaluator.gauss(float(rate))

@@ -58,9 +58,6 @@ class WaveVector:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.step))
 
-    def inner(self, other: "WaveVector") -> complex:
-        return complex(np.vdot(self.values, other.values) * self.grid.step)
-
 
 class OperatorMatrix:
     """Dense operator in the sample representation (psi -> entries @ psi)."""
@@ -76,9 +73,6 @@ class OperatorMatrix:
         self.grid = grid
         self.entries = m
 
-    def apply(self, psi: WaveVector) -> WaveVector:
-        return WaveVector(self.grid, self.entries @ psi.values)
-
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if self.grid != other.grid:
             raise ValueError("operator grids do not match")
@@ -92,9 +86,6 @@ class OperatorMatrix:
 
     def scaled(self, c) -> "OperatorMatrix":
         return OperatorMatrix(self.grid, self.entries * c)
-
-    def adjoint(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.grid, self.entries.conj().T)
 
     def hermiticity_defect(self) -> float:
         scale = max(float(np.max(np.abs(self.entries))), 1e-300)

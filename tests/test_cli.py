@@ -122,6 +122,20 @@ def test_exit_code_contract_in_process(monkeypatch, capsys, make_exc, code):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["star", "--A", "x^3", "--B", "xi^2"],
+    ["bracket", "--A", "xi^3", "--H", "x^3", "--mode", "both"],
+    ["gvh", "--H", "x^3", "--max-m", "2"],
+    ["mpc", "--H", "x^3"],
+], ids=lambda argv: argv[0])
+def test_exact_subcommands_leave_numpy_unloaded(argv):
+    # numeric modules load lazily, after MOYAL_LAB_THREADS is read; exact work never needs them
+    probe = ("import sys; from moyal_lab.cli import main; rc = main(sys.argv[1:]); "
+             "sys.stderr.write(f'exit {rc}, numpy loaded: {\"numpy\" in sys.modules}')")
+    out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+    assert out.stderr == "exit 0, numpy loaded: False"
+
+
 def test_output_to_file(tmp_path):
     path = tmp_path / "out.json"
     out = run_cli("bracket", "--A", "x", "--H", "xi", "--out", str(path))

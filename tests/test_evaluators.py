@@ -87,7 +87,8 @@ def test_poisson_bracket_eval_vs_fd():
 
 
 def test_np_affine_identity():
-    p = {(2, 1): 1.0 + 0j, (0, 3): -0.5j}
+    p = np.zeros((3, 4), dtype=complex)      # c[a, b] multiplies x^a xi^b
+    p[2, 1], p[0, 3] = 1.0 + 0j, -0.5j
     q = np_affine(p, np.eye(2), np.zeros(2))
     x = np.array([0.3]); xi = np.array([-0.7])
     assert abs(np_eval(p, x, xi) - np_eval(q, x, xi)) < 1e-14

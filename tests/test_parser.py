@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -106,3 +107,24 @@ def test_lowering_agrees_with_evaluation():
             exact = complex(p.evaluate(PhasePoint((xv, xiv))))
             approx = complex(ev(np.array(float(xv)), np.array(float(xiv))))
             assert abs(exact - approx) < 1e-12
+
+
+def test_evaluator_lowering_merges_like_terms():
+    # one atom per gauss rate: the expanded sum of 1,025 product terms merges exactly
+    ev = lower_evaluator(parse_symbol("(x + xi)^10*gauss(1) + gauss(1)"))
+    assert len(ev.atoms) == 1
+    p = lower_poly(parse_symbol("(x + xi)^10 + 1"))
+    rng = random.Random(9)
+    for _ in range(10):
+        xv = Fraction(rng.randint(-6, 6), 4)
+        xiv = Fraction(rng.randint(-6, 6), 4)
+        exact = complex(p.evaluate(PhasePoint((xv, xiv)))) * np.exp(-float(xv ** 2 + xiv ** 2))
+        approx = complex(ev(np.array(float(xv)), np.array(float(xiv))))
+        assert abs(exact - approx) <= 1e-12 * max(1.0, abs(exact))
+
+
+def test_evaluator_lowering_cost_follows_degree():
+    start = time.perf_counter()
+    ev = lower_evaluator(parse_symbol("(x + xi)^40*gauss(1)"))
+    assert time.perf_counter() - start < 1.0
+    assert len(ev.atoms) == 1 and ev.atoms[0].poly.shape == (41, 41)

@@ -8,7 +8,8 @@ from moyal_lab.certify import gvh_certificate
 from moyal_lab.crational import CRational
 from moyal_lab.exppoly import ExpPolySymbol, cj_exp
 from moyal_lab.polysym import PolySymbol, Shape
-from moyal_lab.star import HbarSeries, moyal_product
+from moyal_lab.star import (HbarSeries, moyal_bracket, moyal_bracket_series,
+                            moyal_product, star)
 
 from brute_oracle import brute_cj_exp
 
@@ -44,6 +45,27 @@ def operand_pairs(draw):
 def test_star_conjugation_reverses_order(pair):
     A, B = pair
     assert conjugated(moyal_product(A, B)) == moyal_product(B.conjugate(), A.conjugate())
+
+
+@st.composite
+def operand_triples(draw):
+    shape = Shape(draw(st.integers(1, 2)))
+    return tuple(draw(polys(shape, 3)) for _ in range(3))
+
+
+@given(operand_triples())
+def test_star_is_associative(triple):
+    A, B, C = triple
+    assert star(star(A, B), C) == star(A, star(B, C))
+
+
+@given(operand_triples())
+def test_moyal_bracket_jacobi_identity(triple):
+    A, B, C = triple
+    jacobi = moyal_bracket_series(A, moyal_bracket(B, C)) \
+        + moyal_bracket_series(B, moyal_bracket(C, A)) \
+        + moyal_bracket_series(C, moyal_bracket(A, B))
+    assert jacobi.is_zero
 
 
 @given(st.integers(1, 2).flatmap(lambda d: polys(Shape(d), 6, coeffs=fractions)),
