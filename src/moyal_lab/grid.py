@@ -9,7 +9,8 @@ each other:
       e^{i k.X} * B = e^{i k.X} B(x + hbar k_xi / 2, xi - hbar k_x / 2),
   the fractional translations applied as Fourier phase ramps (exact on
   band-limited periodic data).  The mode sum is factorized by axis, so the
-  cost is O(N^3 log N) rather than the naive O(N^4 log N).
+  time is O(N^3 log N) rather than the naive O(N^4 log N), and it runs in
+  blocks of four x-modes, so the memory is O(N^2).
 
 * `star_quadrature_point` discretizes the integral form
       (A*B)(X) = (pi hbar)^{-2} II e^{-(2i/hbar) sigma(u,v)} A(X+u) B(X+v) du dv
@@ -31,6 +32,7 @@ from .evaluators import SymbolEvaluator
 
 BOUNDARY_DECAY = 1e-12
 ORACLE_TOL = 1e-6
+MODE_BLOCK = 4          # x-modes per block of star_grid; divides every GridSpec.n
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,7 +120,14 @@ def sample(f: SymbolEvaluator, spec: GridSpec) -> GridSymbol:
 
 
 def star_grid(A: GridSymbol, B: GridSymbol) -> GridSymbol:
-    """A * B by the factorized mode-shift sum (deterministic reduction)."""
+    """A * B by the factorized mode-shift sum (deterministic reduction).
+
+    Time O(N^3 log N), memory O(N^2): the sum over the left factor's
+    x-modes m runs in blocks of `MODE_BLOCK`, so no temporary is larger
+    than MODE_BLOCK x N x N.  Each mode is added on its own, in m order:
+    that keeps the rounding of the one-batch sum, which summing block
+    partials or an in-place `+=` does not.
+    """
     spec = _check_specs(A, B)
     n = spec.n
     hbar = spec.hbar
@@ -126,22 +135,22 @@ def star_grid(A: GridSymbol, B: GridSymbol) -> GridSymbol:
 
     C = np.fft.fft2(A.samples) / (n * n)              # index-space mode coefficients
     half = 0.5 * hbar * om
-
-    # Bs[m, a, b] = B(x_a, xi_b - hbar om_m / 2)
     FB = np.fft.fft(B.samples, axis=1)
-    ramp = np.exp(-1j * om[None, None, :] * half[:, None, None])
-    Bs = np.fft.ifft(FB[None, :, :] * ramp, axis=2)
-
-    # Bp[m, p, b]: x-mode coefficients of Bs
-    Bp = np.fft.fft(Bs, axis=1) / n
-
-    # W[m, p, b] = sum_n C[m, n] e^{i hbar om_p om_n / 2} e^{2 pi i n b / N}
     phase = np.exp(1j * om[None, :, None] * half[None, None, :])  # [1, p, n]
-    W = np.fft.ifft(C[:, None, :] * phase, axis=2) * n
-
-    T = np.fft.ifft(Bp * W, axis=1) * n               # T[m, a, b]
     E = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)  # [m, a]
-    out = np.einsum("ma,mab->ab", E, T)
+    out = np.zeros((n, n), dtype=complex)
+    for m0 in range(0, n, MODE_BLOCK):
+        block = slice(m0, m0 + MODE_BLOCK)
+        # Bs[m, a, b] = B(x_a, xi_b - hbar om_m / 2)
+        ramp = np.exp(-1j * om[None, None, :] * half[block, None, None])
+        Bs = np.fft.ifft(FB[None, :, :] * ramp, axis=2)
+        # Bp[m, p, b]: x-mode coefficients of Bs
+        Bp = np.fft.fft(Bs, axis=1) / n
+        # W[m, p, b] = sum_n C[m, n] e^{i hbar om_p om_n / 2} e^{2 pi i n b / N}
+        W = np.fft.ifft(C[block, None, :] * phase, axis=2) * n
+        T = np.fft.ifft(Bp * W, axis=1) * n           # T[m, a, b]
+        for i in range(MODE_BLOCK):
+            out = out + np.einsum("a,ab->ab", E[m0 + i], T[i])
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("star product produced non-finite values")
     return GridSymbol(spec, out)

@@ -122,6 +122,39 @@ def test_exit_code_contract_in_process(monkeypatch, capsys, make_exc, code):
     assert "Traceback" not in err
 
 
+def test_bare_memory_error_is_named(monkeypatch, capsys):
+    # MemoryError() has no text; the one stderr line must still say what failed
+    def failing_star_grid(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(moyal_lab.grid, "star_grid", failing_star_grid)
+    rc = cli.main(["star", "--A", "gauss(1)", "--B", "gauss(1)", "--mode", "grid",
+                   "--N", "16", "--L", "6"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.splitlines() == ["moyal-lab: out of memory: MemoryError"]
+
+
+@pytest.mark.parametrize("symbol", ["xi^2", "x^2 + xi^2", "x*xi"])
+def test_quantize_spectral_rejects_momentum_polynomials(capsys, symbol):
+    # the round trip cannot recover a term in xi without a Gaussian envelope
+    rc = cli.main(["quantize", "--A", symbol, "--Nx", "64", "--L", "8", "--spectral"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("moyal-lab: --spectral")
+
+
+@pytest.mark.parametrize("symbol", ["x^2", "gauss(1)", "xi*gauss(1)"])
+def test_quantize_spectral_accepts_position_and_enveloped_symbols(capsys, symbol):
+    rc = cli.main(["quantize", "--A", symbol, "--Nx", "64", "--L", "8", "--spectral"])
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert rc == 0
+    assert res["roundtrip_interior_sup_error"] <= 1e-5 * res["roundtrip_scale"]
+    if symbol == "x^2":
+        assert res == {"hermiticity_defect": 0.0, "roundtrip_interior_sup_error": 0.0,
+                       "roundtrip_scale": 16.0, "saved": False}
+
+
 @pytest.mark.parametrize("argv", [
     ["star", "--A", "x^3", "--B", "xi^2"],
     ["bracket", "--A", "xi^3", "--H", "x^3", "--mode", "both"],

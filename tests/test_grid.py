@@ -1,10 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from moyal_lab.evaluators import SymbolEvaluator, window
-from moyal_lab.grid import (GridSpec, GridSymbol, cj_grid, moyal_bracket_grid,
+from moyal_lab.grid import (GridSpec, _check_specs, GridSymbol, cj_grid, moyal_bracket_grid,
                             poisson_bracket_grid, remainder_grid,
                             remainder_scaling_scan, sample, star_grid,
                             star_quadrature_point, symplectic_fourier)
@@ -54,6 +55,72 @@ def test_star_unit_element():
     one = GridSymbol(SPEC, np.ones((SPEC.n, SPEC.n)))
     assert np.max(np.abs(star_grid(G, one).samples - G.samples)) < 1e-10
     assert np.max(np.abs(star_grid(one, G).samples - G.samples)) < 1e-10
+
+
+def star_grid_reference(A: GridSymbol, B: GridSymbol) -> GridSymbol:
+    """The single-batch mode-shift sum, with all N x-modes at once.
+
+    Kept verbatim as the bitwise reference for the blocked `star_grid`; it
+    holds several complex N x N x N arrays (1.3 GB at N = 256).
+    """
+    spec = _check_specs(A, B)
+    n = spec.n
+    hbar = spec.hbar
+    om = spec.omega()
+
+    C = np.fft.fft2(A.samples) / (n * n)              # index-space mode coefficients
+    half = 0.5 * hbar * om
+
+    # Bs[m, a, b] = B(x_a, xi_b - hbar om_m / 2)
+    FB = np.fft.fft(B.samples, axis=1)
+    ramp = np.exp(-1j * om[None, None, :] * half[:, None, None])
+    Bs = np.fft.ifft(FB[None, :, :] * ramp, axis=2)
+
+    # Bp[m, p, b]: x-mode coefficients of Bs
+    Bp = np.fft.fft(Bs, axis=1) / n
+
+    # W[m, p, b] = sum_n C[m, n] e^{i hbar om_p om_n / 2} e^{2 pi i n b / N}
+    phase = np.exp(1j * om[None, :, None] * half[None, None, :])  # [1, p, n]
+    W = np.fft.ifft(C[:, None, :] * phase, axis=2) * n
+
+    T = np.fft.ifft(Bp * W, axis=1) * n               # T[m, a, b]
+    E = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)  # [m, a]
+    out = np.einsum("ma,mab->ab", E, T)
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError("star product produced non-finite values")
+    return GridSymbol(spec, out)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("hbar, box", [(0.7, 8.0), (0.35, 6.0)])
+def test_star_grid_blocks_bit_identical_to_reference(n, hbar, box):
+    # the reference is not run at N = 256: it allocates 1.3 GB
+    spec = GridSpec(n, box, hbar)
+    rng = np.random.default_rng(n)
+    shifted = SymbolEvaluator.gauss(0.5, center=(-0.3, 0.9)) \
+        * SymbolEvaluator.polynomial({(0, 1): 1.0, (1, 0): 0.5})
+    pairs = [(quiet_sample(SymbolEvaluator.gauss(1.0), spec),
+              quiet_sample(SymbolEvaluator.gauss(0.5), spec)),
+             (quiet_sample(SymbolEvaluator.gauss(1.0, center=(0.7, -0.4)), spec),
+              quiet_sample(shifted, spec)),
+             tuple(GridSymbol(spec, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                   for _ in range(2))]
+    for GA, GB in pairs:
+        assert np.array_equal(star_grid(GA, GB).samples, star_grid_reference(GA, GB).samples)
+
+
+def test_star_grid_memory_is_quadratic():
+    # a 1 MB result at N = 256; one N^3 temporary would be 268 MB
+    spec = GridSpec(256, 8.0, 0.7)
+    GA = quiet_sample(SymbolEvaluator.gauss(1.0), spec)
+    GB = quiet_sample(SymbolEvaluator.gauss(0.5, center=(0.3, -0.2)), spec)
+    tracemalloc.start()
+    try:
+        star_grid(GA, GB)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
