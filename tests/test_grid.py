@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from moyal_lab.evaluators import SymbolEvaluator, window
-from moyal_lab.grid import (GridSpec, _check_specs, GridSymbol, cj_grid, moyal_bracket_grid,
+from moyal_lab.grid import (GridSpec, GridSymbol, _check_specs, cj_grid, moyal_bracket_grid,
                             poisson_bracket_grid, remainder_grid,
                             remainder_scaling_scan, sample, star_grid,
                             star_quadrature_point, symplectic_fourier)
