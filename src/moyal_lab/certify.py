@@ -27,8 +27,8 @@ from math import factorial
 
 from .crational import CRational, I
 from .polysym import PolySymbol, Shape, directional_power
-from .star import ConventionError
-from .exppoly import ExpPolySymbol, cj_exp, pure_exp_collapse
+from .star import ConventionError, _bidifferential
+from .exppoly import ExpPolySymbol, pure_exp_collapse
 
 
 def bracket_term_exp(H: PolySymbol, j: int) -> PolySymbol:
@@ -39,12 +39,12 @@ def bracket_term_exp(H: PolySymbol, j: int) -> PolySymbol:
     """
     if j < 0:
         raise ValueError("order must be >= 0")
-    d = H.shape.d
     order = 2 * j + 1
-    T = ExpPolySymbol.test_symbol(d)
-    term = (cj_exp(T, H, order) - cj_exp(H, T, order)).scaled(I)
-    collapsed = term * T.conjugated()
-    poly = collapsed.as_poly()
+    T = ExpPolySymbol.test_symbol(H.shape.d)
+    # i (C_j(T, H) - C_j(H, T)) in one bracket pass of the kernel; only T carries a phase
+    term = _bidifferential(T.prefactor, ExpPolySymbol.from_poly(H).prefactor, (order,),
+                           (-1, 0), bracket=True)[order]
+    poly = (ExpPolySymbol(term, -1) * T.conjugated()).as_poly()
     if poly.degree("hbar") > 0:
         raise ConventionError("unexpected hbar content in a bracket term")
     return poly.at_hbar(0) if poly.shape.has_hbar else poly

@@ -129,17 +129,6 @@ class ExpPolySymbol:
             p = p + self.prefactor * phase
         return ExpPolySymbol(p, self.sign)
 
-    def translated_x(self, coeff: Fraction) -> "ExpPolySymbol":
-        """Shift the prefactor argument: X -> X + coeff * hbar * Y.
-
-        The phase factor is invariant under shifts along Y since
-        L_Y(Y) = sigma(Y, Y) = 0.
-        """
-        full = self.prefactor.shape
-        shifts = [PolySymbol.var(full, block, k).scaled(coeff).hbar_shifted(1)
-                  for block in ("y", "eta") for k in range(full.d)]
-        return ExpPolySymbol(self.prefactor.translated(shifts), self.sign)
-
 
 def cj_exp(A: "ExpPolySymbol | PolySymbol", B: "ExpPolySymbol | PolySymbol",
            j: int) -> ExpPolySymbol:
@@ -189,8 +178,11 @@ def pure_exp_collapse(F: ExpPolySymbol, side: str, pure_sign: int) -> ExpPolySym
         coeff = Fraction(-pure_sign, 2)
     else:
         raise ValueError("side must be 'left' or 'right'")
-    shifted = F.translated_x(coeff)
-    return ExpPolySymbol(shifted.prefactor, F.sign + pure_sign)
+    # the phase is invariant under shifts along Y, since L_Y(Y) = sigma(Y, Y) = 0
+    full = F.prefactor.shape
+    shifts = [PolySymbol.var(full, block, k).scaled(coeff).hbar_shifted(1)
+              for block in ("y", "eta") for k in range(full.d)]
+    return ExpPolySymbol(F.prefactor.translated(shifts), F.sign + pure_sign)
 
 
 def star_with_pure(A: ExpPolySymbol, B: ExpPolySymbol) -> ExpPolySymbol:

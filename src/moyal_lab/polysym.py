@@ -21,9 +21,15 @@ so that {x, xi} = -1; see `moyal_lab.conventions` for the full sign table.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .crational import CRational, ScalarLike
+from .crational import ONE, CRational, ScalarLike
+
+# scaling by 1, i, -1 or -i only moves and negates the parts (re, im)
+_UNITS = {(1, 0): lambda c: c, (0, 1): lambda c: CRational(-c.im, c.re),
+          (-1, 0): lambda c: -c, (0, -1): lambda c: CRational(c.im, -c.re)}
 
 BLOCKS = ("x", "xi", "y", "eta", "hbar")
 
@@ -159,6 +165,9 @@ class PolySymbol:
     def __mul__(self, other):
         if isinstance(other, PolySymbol):
             _check_same_shape(self, other)
+            for a, b in ((self, other), (other, self)):
+                if len(b.terms) == 1 and not any(next(iter(b.terms))):
+                    return a.scaled(next(iter(b.terms.values())))
             out: dict[tuple, CRational] = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
@@ -187,7 +196,8 @@ class PolySymbol:
             return PolySymbol.zero(self.shape)
         r = PolySymbol.__new__(PolySymbol)
         r.shape = self.shape
-        r.terms = {e: c * c0 for e, c in self.terms.items()}
+        unit = _UNITS.get((c0.re, c0.im))
+        r.terms = {e: unit(c) if unit else c * c0 for e, c in self.terms.items()}
         return r
 
     def __pow__(self, n: int) -> "PolySymbol":
@@ -343,6 +353,12 @@ class PolySymbol:
         entries mean no shift.  Every shift must be a polynomial of degree
         at most 1 in all blocks; nonlinear shifts are rejected.  The result
         lives in the common target shape.
+
+        Shifts are X-free, so each shift monomial c m is a binomial Taylor
+        shift x_k^n -> sum_i C(n,i) x_k^(n-i) (c m)^i (von zur Gathen and
+        Gerhard, ISSAC 1997) on Gaussian-integer numerators over one common
+        denominator, times q^N for c = g/q and top exponent N of x_k: O(terms
+        x N) integer products per shift monomial, one Fraction per output term.
         """
         d = self.shape.d
         if len(shifts) != 2 * d:
@@ -353,43 +369,43 @@ class PolySymbol:
                 continue
             target = Shape(d, target.has_y or s.shape.has_y,
                           target.has_hbar or s.shape.has_hbar)
-        base = self.promoted(target)
-        xslots_t = [target.slot("x", k) for k in range(d)] + \
-                   [target.slot("xi", k) for k in range(d)]
-        images: list[PolySymbol | None] = []
-        for k, s in enumerate(shifts):
+        xslots = [target.slot("x", k) for k in range(d)] + [target.slot("xi", k) for k in range(d)]
+        moves = []
+        for slot, s in zip(xslots, shifts):
             if s is None or s.is_zero:
-                images.append(None)
                 continue
             sp = s.promoted(target)
             # affine, X-free: at most one power of a (y, eta) variable per
             # term, no x/xi content; hbar powers are free (formal parameter)
-            if any(e[sl] for e in sp.terms for sl in xslots_t):
+            if any(e[sl] for e in sp.terms for sl in xslots):
                 raise ValueError("translation shift must not depend on X")
             if target.has_y and sp.degree("y", "eta") > 1:
                 raise ValueError("translation shift must be affine (degree <= 1)")
-            block = "x" if k < d else "xi"
-            images.append(PolySymbol.var(target, block, k % d) + sp)
-        # substitute, caching powers of each image
-        pow_cache: dict[int, list[PolySymbol]] = {}
-        n = target.nvars
-        xslots = [target.slot("x", k) for k in range(d)] + [target.slot("xi", k) for k in range(d)]
-        result = PolySymbol.zero(target)
-        for e, c in base.terms.items():
-            rest = list(e)
-            factors: list[tuple[int, int]] = []
-            for k, slot in enumerate(xslots):
-                if images[k] is not None and e[slot]:
-                    factors.append((k, e[slot]))
-                    rest[slot] = 0
-            piece = PolySymbol.monomial(target, tuple(rest), c)
-            for k, p in factors:
-                cache = pow_cache.setdefault(k, [PolySymbol.const(target, 1)])
-                while len(cache) <= p:
-                    cache.append(cache[-1] * images[k])
-                piece = piece * cache[p]
-            result = result + piece
-        return result
+            moves += [(slot, m, c) for m, c in sp.terms.items()]
+        base = self.promoted(target)
+        den = lcm(*(q.denominator for c in base.terms.values() for q in (c.re, c.im)))
+        acc = {e: (c.re.numerator * (den // c.re.denominator),
+                   c.im.numerator * (den // c.im.denominator)) for e, c in base.terms.items()}
+        for slot, m, c in moves:
+            q = lcm(c.re.denominator, c.im.denominator)
+            gr, gi = c.re.numerator * (q // c.re.denominator), c.im.numerator * (q // c.im.denominator)
+            top = max((e[slot] for e in acc), default=0)
+            w = [(q ** top, 0)]                 # w[i] = (gr + i gi)^i q^(top - i)
+            for _ in range(top):
+                wr, wi = w[-1]
+                w.append(((wr * gr - wi * gi) // q, (wr * gi + wi * gr) // q))
+            steps = [tuple(i * t for t in m[:slot] + (-1,) + m[slot + 1:]) for i in range(top + 1)]
+            out: dict = {}
+            for e, (re, im) in acc.items():
+                for i in range(e[slot] + 1):
+                    key = tuple(map(add, e, steps[i]))      # x_k^(n-i) (c m)^i
+                    b, (wr, wi) = comb(e[slot], i), w[i]
+                    r0, i0 = out.get(key, (0, 0))
+                    out[key] = (r0 + b * (re * wr - im * wi), i0 + b * (re * wi + im * wr))
+            acc = {e: v for e, v in out.items() if v[0] or v[1]}
+            den *= q ** top
+        return PolySymbol(target, {e: CRational(Fraction(re, den), Fraction(im, den))
+                                   for e, (re, im) in acc.items()})
 
     def at_hbar(self, value: ScalarLike) -> "PolySymbol":
         """Collapse the formal hbar variable to an exact numeric value."""
@@ -398,10 +414,13 @@ class PolySymbol:
         slot = self.shape.slot("hbar")
         v = CRational.coerce(value)
         new_shape = Shape(self.shape.d, self.shape.has_y, False)
+        powers = [ONE]                  # v^k once per call, ONE itself where it is 1
+        for _ in range(self.degree("hbar")):
+            powers.append(ONE if (p := powers[-1] * v) == ONE else p)
         out: dict[tuple, CRational] = {}
         for e, c in self.terms.items():
             ne = e[:slot] + e[slot + 1:]
-            nc = c * v ** e[slot]
+            nc = c if (p := powers[e[slot]]) is ONE else c * p
             s = out.get(ne)
             out[ne] = nc if s is None else s + nc
         return PolySymbol(new_shape, out)

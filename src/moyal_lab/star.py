@@ -131,13 +131,16 @@ class HbarSeries:
         return " + ".join(f"hbar^{j}*[{self.coeff(j)!r}]" for j in self.orders())
 
 
-def _leibniz(n: int, e: int, sign: int) -> list:
+def _leibniz(n: int, e: int, sign: int, memo: dict) -> list:
     """(d_t + i sign c)^n t^e = sum_k C(n,k) [e]_k (i sign c)^(n-k) t^(e-k), as
     [(k, C(n,k) [e]_k sign^(n-k))]; without a phase only k = n survives."""
-    return [(k, comb(n, k) * perm(e, k) * sign ** (n - k)) for k in range(0 if sign else n, min(n, e) + 1)]
+    if (n, e, sign) not in memo:
+        memo[n, e, sign] = [(k, comb(n, k) * perm(e, k) * sign ** (n - k))
+                            for k in range(0 if sign else n, min(n, e) + 1)]
+    return memo[n, e, sign]
 
 
-def _axis_table(ea: tuple, eb: tuple, sa: int, sb: int, smax: int) -> list:
+def _axis_table(ea: tuple, eb: tuple, sa: int, sb: int, smax: int, memo: dict) -> list:
     """[(s, output exponents, s! T[s])] on one axis for exponents ea, eb: (x, xi[, y, eta]).
 
     With phase signs sa, sb the derivatives expand by Leibniz, each phase
@@ -146,9 +149,9 @@ def _axis_table(ea: tuple, eb: tuple, sa: int, sb: int, smax: int) -> list:
     al, be, ga, de = ea[0], ea[1], eb[0], eb[1]
     top = min(smax, al + be + ga + de)     # every term of the series differentiates
     # order a: d_xi^a on the left, d_x^a on the right; order b: d_x^b left, d_xi^b right
-    on_a = [[(q, r, u * v) for q, u in _leibniz(a, be, -sa) for r, v in _leibniz(a, ga, sb)]
+    on_a = [[(q, r, u * v) for q, u in _leibniz(a, be, -sa, memo) for r, v in _leibniz(a, ga, sb, memo)]
             for a in range(min(top, top if sa else be, top if sb else ga) + 1)]
-    on_b = [[(p, t, u * v) for p, u in _leibniz(b, al, sa) for t, v in _leibniz(b, de, -sb)]
+    on_b = [[(p, t, u * v) for p, u in _leibniz(b, al, sa, memo) for t, v in _leibniz(b, de, -sb, memo)]
             for b in range(min(top, top if sa else al, top if sb else de) + 1)]
     sums: dict = defaultdict(int)
     for a, terms_a in enumerate(on_a):
@@ -196,7 +199,8 @@ def _bidifferential(A: PolySymbol, B: PolySymbol, orders, signs=(0, 0),
     passes = [(At, Bt, signs, 1)] + ([(Bt, At, signs[::-1], -1)] if bracket else [])
     keys = {(ea, eb, sa, sb) for Lt, Rt, (sa, sb), _ in passes for k in range(d)
             for ea in {t[0][k] for t in Lt} for eb in {t[0][k] for t in Rt}}
-    tables = {key: _axis_table(*key, jmax) for key in keys}
+    memo: dict = {}         # Leibniz lists, shared by this call's tables and no other call
+    tables = {key: _axis_table(*key, jmax, memo) for key in keys}
     fact = [factorial(s) for s in range(jmax + 1)]
     # entries are s! T[s]; T[s] is an integer without phases, and L clears what phases leave
     L = lcm(*(fact[s] // gcd(v, fact[s]) for table in tables.values() for s, _, v in table))

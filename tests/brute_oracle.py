@@ -5,10 +5,12 @@ Deliberately separate from the package: its own polynomial representation
 variables), its own derivative code, its own multi-index enumeration.
 The engine must agree with this on frozen examples and random inputs.
 
-`brute_cj_exp` is the one exception: exponential test symbols have no
+`brute_cj_exp` is one exception: exponential test symbols have no
 representation here, so it runs the index-pair sum on the package's
 `ExpPolySymbol`, using only its single-variable `partial` and its ring
-operations, never the engine's bidifferential kernel.
+operations, never the engine's bidifferential kernel.  `brute_translated`
+is the other: the substitution loop `PolySymbol.translated` used before its
+Taylor-shift kernel, built on `PolySymbol` ring operations alone.
 """
 
 from __future__ import annotations
@@ -155,3 +157,57 @@ def brute_poisson(A, B, d):
 def from_engine(p):
     """Convert an X-only PolySymbol to the oracle representation."""
     return {e: (c.re, c.im) for e, c in p.terms.items()}
+
+
+def brute_translated(p, shifts):
+    """p(X + shift) by substituting powers of each image x_k + shift_k.
+
+    Same contract as `PolySymbol.translated`, rejections included.
+    """
+    from moyal_lab.polysym import PolySymbol, Shape, ShapeError
+
+    d = p.shape.d
+    if len(shifts) != 2 * d:
+        raise ShapeError(f"expected {2 * d} shift entries, got {len(shifts)}")
+    target = p.shape
+    for s in shifts:
+        if s is None:
+            continue
+        target = Shape(d, target.has_y or s.shape.has_y,
+                       target.has_hbar or s.shape.has_hbar)
+    base = p.promoted(target)
+    xslots_t = [target.slot("x", k) for k in range(d)] + \
+               [target.slot("xi", k) for k in range(d)]
+    images = []
+    for k, s in enumerate(shifts):
+        if s is None or s.is_zero:
+            images.append(None)
+            continue
+        sp = s.promoted(target)
+        # affine, X-free: at most one power of a (y, eta) variable per
+        # term, no x/xi content; hbar powers are free (formal parameter)
+        if any(e[sl] for e in sp.terms for sl in xslots_t):
+            raise ValueError("translation shift must not depend on X")
+        if target.has_y and sp.degree("y", "eta") > 1:
+            raise ValueError("translation shift must be affine (degree <= 1)")
+        block = "x" if k < d else "xi"
+        images.append(PolySymbol.var(target, block, k % d) + sp)
+    # substitute, caching powers of each image
+    pow_cache = {}
+    xslots = [target.slot("x", k) for k in range(d)] + [target.slot("xi", k) for k in range(d)]
+    result = PolySymbol.zero(target)
+    for e, c in base.terms.items():
+        rest = list(e)
+        factors = []
+        for k, slot in enumerate(xslots):
+            if images[k] is not None and e[slot]:
+                factors.append((k, e[slot]))
+                rest[slot] = 0
+        piece = PolySymbol.monomial(target, tuple(rest), c)
+        for k, power in factors:
+            cache = pow_cache.setdefault(k, [PolySymbol.const(target, 1)])
+            while len(cache) <= power:
+                cache.append(cache[-1] * images[k])
+            piece = piece * cache[power]
+        result = result + piece
+    return result

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from moyal_lab.crational import I
+from moyal_lab.crational import CRational, I
 from moyal_lab.certify import (bracket_term_exp, exp_test_bracket,
                                expected_term_constant, gvh_certificate,
                                mpc_identity_check)
@@ -244,6 +244,42 @@ def test_exp_test_bracket_random_route_agreement():
         for _ in range(8):
             H = rand_poly(rng, s, 6)
             exp_test_bracket(H)
+
+
+def test_bracket_term_exp_matches_index_pair_reference():
+    # i (C_(2j+1)(T, H) - C_(2j+1)(H, T)) by the reference sum, then times T^*
+    rng = random.Random(59)
+    for d in (1, 2):
+        T = ExpPolySymbol.test_symbol(d)
+        for j in range(4):
+            order = 2 * j + 1
+            H = rand_poly(rng, Shape(d), order + 1, nterms=3 if d == 2 and j == 3 else 5)
+            F = ExpPolySymbol.from_poly(H)
+            term = (brute_cj_exp(T, F, order) - brute_cj_exp(F, T, order)).scaled(I)
+            expected = (term * T.conjugated()).as_poly().at_hbar(0)
+            assert bracket_term_exp(H, j) == expected
+
+
+def test_exact_certificates_make_few_coefficient_products(monkeypatch):
+    # a dense d = 2, degree-6 H: the translations and the test-family bracket
+    # run on integer numerators, not on CRational products per term
+    rng = random.Random(61)
+    mons = [e for e in itertools.product(range(7), repeat=4) if sum(e) <= 6]
+    support = [(6, 0, 0, 0)] + rng.sample([e for e in mons if e != (6, 0, 0, 0)], 89)
+    H = PolySymbol(Shape(2), {e: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+                              for e in support})
+    calls = [0]
+    mul = CRational.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(CRational, "__mul__", counted)
+    monkeypatch.setattr(CRational, "__rmul__", counted)
+    exp_test_bracket(H)
+    mpc_identity_check(H)
+    assert calls[0] < 1000
 
 
 # ------------------------------------------------------ certificates

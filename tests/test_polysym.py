@@ -221,3 +221,49 @@ def test_linear_form_symbolic_matches_numeric():
     X = PhasePoint((Fraction(1, 3), Fraction(5)))
     v = Ls.evaluate(X, Y)
     assert v == CRational(symplectic_form(Y, X))
+
+
+# ---------------------------------------------------------------- unit and constant factors
+
+def complex_poly(rng, shape, deg, nterms=6):
+    """rand_poly with complex rational coefficients."""
+    return rand_poly(rng, shape, deg, nterms) + rand_poly(rng, shape, deg, nterms).scaled(I)
+
+
+def test_scaled_by_units_matches_termwise_product():
+    rng = random.Random(11)
+    for shape in (Shape(1), Shape(2, True, True)):
+        p = complex_poly(rng, shape, 4)
+        for u in (CRational(1), CRational(-1), I, -I):
+            assert p.scaled(u).terms == {e: c * u for e, c in p.terms.items()}
+        assert p.scaled(1) == p and p.scaled(-1) == -p
+
+
+def test_product_with_constant_is_scaling():
+    rng = random.Random(12)
+    shape = Shape(2, True, False)
+    p = complex_poly(rng, shape, 4)
+    for c in (CRational(1), -I, CRational(Fraction(-3, 7), Fraction(2, 5))):
+        k = PolySymbol.const(shape, c)
+        assert p * k == p.scaled(c)
+        assert k * p == p.scaled(c)
+    assert p * PolySymbol.const(shape, 0) == PolySymbol.zero(shape)
+    with pytest.raises(ShapeError):
+        p * PolySymbol.const(Shape(2), 1)
+    with pytest.raises(ShapeError):
+        PolySymbol.const(Shape(2), 1) * p
+
+
+def test_at_hbar_matches_termwise_powers():
+    rng = random.Random(13)
+    shape = Shape(1, True, True)
+    p = PolySymbol.zero(shape)
+    for k in range(4):
+        p = p + complex_poly(rng, Shape(1, True), 3).hbar_shifted(k)
+    flat = Shape(1, True)
+    for v in (0, 1, -1, Fraction(1, 3), CRational(1, 1)):
+        expected = PolySymbol.zero(flat)
+        for e, c in p.terms.items():
+            expected = expected + PolySymbol.monomial(flat, e[:-1], c * CRational.coerce(v) ** e[-1])
+        assert p.at_hbar(v) == expected
+    assert p.at_hbar(0) == PolySymbol(flat, {e[:-1]: c for e, c in p.terms.items() if not e[-1]})

@@ -11,7 +11,7 @@ from moyal_lab.polysym import PolySymbol, Shape
 from moyal_lab.star import (HbarSeries, moyal_bracket, moyal_bracket_series,
                             moyal_product, star)
 
-from brute_oracle import brute_cj_exp
+from brute_oracle import brute_cj_exp, brute_translated
 
 fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
 complex_rationals = st.builds(CRational, fractions, fractions)
@@ -93,3 +93,36 @@ def exp_pairs(draw):
 def test_cj_exp_matches_index_pair_reference(case):
     A, B, j = case
     assert cj_exp(A, B, j) == brute_cj_exp(A, B, j)
+
+
+@st.composite
+def affine_shifts(draw, shape):
+    """An X-free shift in `shape`: a sum of constant, y_k or eta_k monomials times hbar^r."""
+    d, n = shape.d, shape.nvars
+    picks = [None] + ([shape.slot(b, k) for b in ("y", "eta") for k in range(d)] if shape.has_y else [])
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        e = [0] * n
+        slot = draw(st.sampled_from(picks))
+        if slot is not None:
+            e[slot] = 1
+        if shape.has_hbar:
+            e[-1] = draw(st.integers(0, 2))
+        terms[tuple(e)] = draw(complex_rationals)
+    return PolySymbol(shape, terms)
+
+
+@st.composite
+def translations(draw):
+    d = draw(st.integers(1, 3))
+    source = Shape(d, draw(st.booleans()), draw(st.booleans()))
+    p = draw(polys(source, 4 if d < 3 else 3, extra=1))
+    shift_shape = Shape(d, draw(st.booleans()), draw(st.booleans()))
+    shifts = [draw(st.none() | affine_shifts(shift_shape)) for _ in range(2 * d)]
+    return p, shifts
+
+
+@given(translations())
+def test_translated_matches_substitution_reference(case):
+    p, shifts = case
+    assert p.translated(shifts) == brute_translated(p, shifts)
