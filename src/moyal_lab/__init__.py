@@ -27,35 +27,14 @@ from .certify import (Certificate, MpcReport, bracket_term_exp,
                       exp_test_bracket, expected_term_constant,
                       gvh_certificate, mpc_identity_check)
 
-_NUMERIC = {
-    "SymbolEvaluator": "evaluators",
-    "GaussAtom": "evaluators",
-    "poisson_bracket_eval": "evaluators",
-    "bracket_term_eval": "evaluators",
-    "window": "evaluators",
-    "GridSpec": "grid",
-    "GridSymbol": "grid",
-    "sample": "grid",
-    "star_grid": "grid",
-    "star_quadrature_point": "grid",
-    "cj_grid": "grid",
-    "remainder_grid": "grid",
-    "remainder_scaling_scan": "grid",
-    "symplectic_fourier": "grid",
-    "XGrid": "weylop",
-    "WaveVector": "weylop",
-    "OperatorMatrix": "weylop",
-    "quantize_kernel": "weylop",
-    "quantize_via_covariant": "weylop",
-    "symbol_from_operator": "weylop",
-    "heisenberg_translation": "weylop",
-    "coherent_state": "weylop",
-    "expectation": "weylop",
-    "commutator_bracket": "weylop",
-    "heisenberg_evolve": "weylop",
-    "classical_evolve_quadratic": "weylop",
-    "egorov_compare": "weylop",
-}
+_NUMERIC = {name: mod for mod, names in (
+    ("evaluators", "SymbolEvaluator GaussAtom poisson_bracket_eval bracket_term_eval window"),
+    ("grid", "GridSpec GridSymbol sample star_grid star_quadrature_point cj_grid "
+             "remainder_grid remainder_scaling_scan symplectic_fourier"),
+    ("weylop", "XGrid WaveVector OperatorMatrix quantize_kernel quantize_via_covariant "
+               "symbol_from_operator heisenberg_translation coherent_state expectation "
+               "commutator_bracket heisenberg_evolve classical_evolve_quadratic egorov_compare"),
+) for name in names.split()}
 
 
 def __getattr__(name: str):

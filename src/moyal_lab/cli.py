@@ -231,9 +231,10 @@ def cmd_quantize(args) -> int:
 
     from .grid import GridSpec, sample
     from .gridio import save_operator
-    from .weylop import quantize_kernel, symbol_from_operator
+    from .weylop import check_run_bytes, quantize_kernel, symbol_from_operator
 
     grid = GridSpec(args.Nx, args.L, args.hbar)
+    check_run_bytes(grid.n)
     ev = _eval_arg(args.A)
     if args.spectral and any(a.Q is None and a.poly[:, 1:].any() for a in ev.atoms):
         raise ValueError("--spectral: the round trip cannot recover a term in xi "
@@ -262,12 +263,13 @@ def cmd_quantize(args) -> int:
 
 def cmd_egorov(args) -> int:
     from .grid import GridSpec
-    from .weylop import egorov_compare
+    from .weylop import check_run_bytes, egorov_compare
 
     H = _poly_arg(args.H, 1)
     if H.degree() > 2:
         raise ExprError("egorov requires deg H <= 2", 0)
     grid = GridSpec(args.Nx, args.L, args.hbar)
+    check_run_bytes(grid.n, evolve=True)
     rep = egorov_compare(_eval_arg(args.A), H, args.t, grid)
     emit_json({"command": "egorov",
                "grid": {"Nx": grid.n, "L": grid.box, "hbar": grid.hbar},
@@ -284,8 +286,9 @@ def cmd_coherent(args) -> int:
     import numpy as np
 
     from .grid import GridSpec
-    from .weylop import coherent_state, expectation, quantize_kernel
+    from .weylop import check_run_bytes, coherent_state, expectation, quantize_kernel
 
+    check_run_bytes(args.Nx)
     y, eta = _num_list(args.Y)
     ev = _eval_arg(args.A)
     rows = []

@@ -14,6 +14,8 @@ Two quantization routes are implemented and cross-validated:
       K(x, y) = (2 pi hbar)^-1 Int e^{i (x - y) eta / hbar} A((x+y)/2, eta) d eta
   over the grid's own momentum lattice (a length-N transform per midpoint
   diagonal), giving M[i, j] = (1/N) sum_k A((x_i+x_j)/2, p_k) e^{2 pi i k (i-j)/N}.
+  Midpoint rows run in blocks of `ROW_BLOCK` = 64: O(N^2) memory, 24 N^2 +
+  256 ROW_BLOCK N bytes; `check_run_bytes` gives a run's peak before it starts.
 
 * `quantize_via_covariant` superposes Heisenberg translations weighted by
   the symplectic Fourier transform of the symbol (hbar = 1),
@@ -33,10 +35,12 @@ from math import pi
 import numpy as np
 
 from .evaluators import SymbolEvaluator
-from .grid import GridSpec, GridSymbol, symplectic_fourier
+from .grid import GridSpec, GridSymbol, sample, symplectic_fourier
 from .polysym import PolySymbol
 
 NYQUIST_TAIL = 1e-8
+ROW_BLOCK = 64          # midpoint rows per block of quantize_kernel
+RUN_BYTES_CAP = 4 << 30  # largest estimated peak of an operator run; admits every Nx <= 4096
 
 XGrid = GridSpec
 
@@ -108,50 +112,56 @@ def quantize_kernel(A: SymbolEvaluator, grid: GridSpec,
     Real symbols give Hermitian matrices at machine precision.  Two
     lattices are offered:
 
-    * default (decaying symbols): momentum spacing pi hbar / (2L), which
-      pushes the kernel's periodization images out to |x - y| = 4L, so no
-      alias ridge enters the stored matrix; correct to the symbol's own
-      kernel decay.
-    * ``spectral=True`` (polynomial symbols): the grid's own N-point
-      momentum lattice, producing the exact periodic spectral operator
-      (position polynomials become multiplication matrices, xi the
-      spectral momentum matrix).  Decaying symbols quantized this way pick
-      up a kernel image along |x - y| = 2L.
+    * default (decaying symbols): W = 2N momenta at spacing pi hbar / (2L),
+      which pushes the kernel's periodization images out to |x - y| = 4L,
+      so no alias ridge enters the stored matrix; correct to the symbol's
+      own kernel decay.
+    * ``spectral=True`` (polynomial symbols): the grid's own W = N momenta,
+      producing the exact periodic spectral operator (position polynomials
+      become multiplication matrices, xi the spectral momentum matrix).
+      Decaying symbols quantized this way pick up a kernel image along
+      |x - y| = 2L.
 
-    A warning with the measured band-edge tail is emitted when a symbol on
-    the default path still has mass at the momentum band edge.
+    The 2N - 1 midpoint rows run in blocks of `ROW_BLOCK`; a block samples
+    ROW_BLOCK x W points, transforms its rows and scatters anti-diagonal
+    i + j = row into the output, found by one stable argsort of i + j.
+    Memory: 24 N^2 bytes (output, index order) + 256 ROW_BLOCK N bytes.
+    A band-edge tail above `NYQUIST_TAIL` on the default path warns.
     """
     n = grid.n
+    width = n if spectral else 2 * n
+    p = grid.momenta() if spectral else grid.hbar * 2.0 * np.pi * np.fft.fftfreq(width, grid.step)
     mids = -grid.box + 0.5 * grid.step * np.arange(2 * n - 1)
-    if spectral:
-        p = grid.momenta()
-        vals = A(mids[:, None], p[None, :])             # [midpoint, momentum]
-        G = np.fft.ifft(vals, axis=1)                   # [midpoint, (i-j) mod N]
-        idx = np.arange(n)
-        S = idx[:, None] + idx[None, :]
-        R = (idx[:, None] - idx[None, :]) % n
-        return OperatorMatrix(grid, G[S, R])
-    p = grid.hbar * 2.0 * np.pi * np.fft.fftfreq(2 * n, grid.step)
-    vals = A(mids[:, None], p[None, :])                 # [midpoint, 2N momenta]
-    peak = float(np.max(np.abs(vals)))
-    if peak > 0:
-        edge = float(np.max(np.abs(vals[:, n])))
-        if edge / peak > NYQUIST_TAIL:
-            warnings.warn(f"symbol tail fraction {edge / peak:.3e} at the momentum "
-                          "band edge; use spectral=True for polynomial symbols",
-                          stacklevel=2)
-    G = np.fft.ifft(vals, axis=1)                       # [midpoint, (i-j) mod 2N]
-    idx = np.arange(n)
-    S = idx[:, None] + idx[None, :]
-    R = (idx[:, None] - idx[None, :]) % (2 * n)
-    return OperatorMatrix(grid, G[S, R])
+    order = np.argsort(np.add.outer(np.arange(n), np.arange(n)), axis=None, kind="stable")
+    bounds = np.cumsum(n - np.abs(np.arange(-n, n)))    # row r starts at order[bounds[r]]
+    out = np.empty((n, n), dtype=complex)
+    peak = edge = 0.0
+    for r0 in range(0, 2 * n - 1, ROW_BLOCK):
+        r1 = min(r0 + ROW_BLOCK, 2 * n - 1)
+        vals = A(mids[r0:r1, None], p[None, :])             # [midpoint, momentum]
+        if not spectral:
+            peak = max(peak, float(np.max(np.abs(vals))))
+            edge = max(edge, float(np.max(np.abs(vals[:, n]))))
+        G = np.fft.ifft(vals, axis=1)                       # [midpoint, (i-j) mod W]
+        pos = order[bounds[r0]:bounds[r1]]
+        i, j = np.divmod(pos, n)
+        np.put(out, pos, G[i + j - r0, (i - j) % width])
+    M = OperatorMatrix(grid, out)
+    if peak > 0 and edge / peak > NYQUIST_TAIL:
+        warnings.warn(f"symbol tail fraction {edge / peak:.3e} at the momentum "
+                      "band edge; use spectral=True for polynomial symbols",
+                      stacklevel=2)
+    return M
+
+
+def _fourier_multiplier(n: int, mult: np.ndarray) -> np.ndarray:
+    """The periodic spectral operator with Fourier multiplier `mult`, as a matrix."""
+    return np.fft.ifft(np.fft.fft(np.eye(n), axis=0) * mult[:, None], axis=0)
 
 
 def _half_step_shift(grid: GridSpec) -> np.ndarray:
     """The band-limited unitary (S psi)(x) = psi(x + dx/2) as a matrix."""
-    n = grid.n
-    ramp = np.exp(1j * grid.omega() * grid.step / 2.0)
-    return np.fft.ifft(np.fft.fft(np.eye(n), axis=0) * ramp[:, None], axis=0)
+    return _fourier_multiplier(grid.n, np.exp(1j * grid.omega() * grid.step / 2.0))
 
 
 def _edge_taper(grid: GridSpec, start: float = 0.8) -> np.ndarray:
@@ -174,32 +184,50 @@ def symbol_from_operator(M: OperatorMatrix) -> GridSymbol:
     at the anti-diagonal corners (the t-periodization image); the taper
     touches only exponentially small entries for interior symbols.  The
     result lives on the square phase-space grid whose xi axis equals the
-    position axis.
+    position axis.  Memory: 64 N^2 bytes beside the input (tapered kernel,
+    S, S M and S M S), each array dropped after its last use.
     """
     grid = M.grid
     n = grid.n
     dx = grid.step
     m = np.diag(M.entries).copy()
-    if np.array_equal(M.entries, np.diag(m)):
-        # pure multiplication operator: flat symbol, exactly
+    if np.count_nonzero(M.entries) == np.count_nonzero(m):
+        # pure multiplication operator (no off-diagonal entry): flat symbol, exactly
         return GridSymbol(grid, np.repeat(m[:, None], n, axis=1))
     w = _edge_taper(grid)
-    Kt = w[:, None] * (M.entries / dx) * w[None, :]    # seam-safe tapered kernel
+    Kt = M.entries / dx                                # seam-safe tapered kernel, built in place
+    Kt *= w[:, None]
+    Kt *= w[None, :]
     S = _half_step_shift(grid)
     Kodd = S @ Kt @ S                                  # kernel at (x + h, y - h), h = dx/2
+    del S
 
     idx = np.arange(n)
     rs = np.arange(-n // 4, n // 4)                    # |t| < L: beyond, the t-periodization image leaks in
     A1 = (idx[:, None] + rs[None, :]) % n
     A2 = (idx[:, None] - rs[None, :]) % n
-    Ge = Kt[A1, A2]                                    # t = 2 r dx
-    Go = Kodd[A1, A2]                                  # t = 2 r dx + dx
+    Ge, Go = Kt[A1, A2], Kodd[A1, A2]                  # t = 2 r dx and t = 2 r dx + dx
+    del Kt, Kodd, A1, A2
     xi = grid.axis()
     te = 2.0 * rs * dx
-    Ee = np.exp(-1j * np.outer(te, xi) / grid.hbar) * dx
-    Eo = np.exp(-1j * np.outer(te + dx, xi) / grid.hbar) * dx
-    samples = Ge @ Ee + Go @ Eo
+    samples = Ge @ (np.exp(-1j * np.outer(te, xi) / grid.hbar) * dx)
+    del Ge
+    samples += Go @ (np.exp(-1j * np.outer(te + dx, xi) / grid.hbar) * dx)
     return GridSymbol(grid, samples)
+
+
+def check_run_bytes(n: int, evolve: bool = False) -> int:
+    """Peak bytes of a `quantize` run (`egorov` with evolve) at N = n; ValueError above the cap.
+
+    The peak is the round trip's sampling of the symbol beside the operator
+    and its symbol: 8 complex N x N arrays (egorov: 10, with Op(H) and the
+    evolved operator), plus 256 ROW_BLOCK N bytes of quantize_kernel blocks.
+    """
+    need = 16 * n * n * (10 if evolve else 8) + 256 * ROW_BLOCK * n
+    if need > RUN_BYTES_CAP:
+        raise ValueError(f"Nx = {n} needs about {need / 2 ** 30:.1f} GiB, above the "
+                         f"{RUN_BYTES_CAP >> 30} GiB cap of an operator run")
+    return need
 
 
 def quantize_via_covariant(A: SymbolEvaluator, grid: GridSpec) -> OperatorMatrix:
@@ -239,12 +267,8 @@ def heisenberg_translation(Y, grid: GridSpec) -> OperatorMatrix:
     y, eta = float(Y[0]), float(Y[1])
     if abs(y) >= grid.box / 2.0:
         raise ValueError("translation leaves the safe half-box")
-    n = grid.n
-    x = grid.axis()
-    om = grid.omega()
-    F = np.fft.fft(np.eye(n), axis=0)
-    S = np.fft.ifft(F * np.exp(-1j * om * y)[:, None], axis=0)
-    phase = np.exp(1j * eta * (x - 0.5 * y) / grid.hbar)
+    S = _fourier_multiplier(grid.n, np.exp(-1j * grid.omega() * y))
+    phase = np.exp(1j * eta * (grid.axis() - 0.5 * y) / grid.hbar)
     return OperatorMatrix(grid, phase[:, None] * S)
 
 
@@ -268,10 +292,7 @@ def position_operator(grid: GridSpec) -> OperatorMatrix:
 
 
 def momentum_operator(grid: GridSpec) -> OperatorMatrix:
-    n = grid.n
-    F = np.fft.fft(np.eye(n), axis=0)
-    P = np.fft.ifft(F * grid.momenta()[:, None], axis=0)
-    return OperatorMatrix(grid, P)
+    return OperatorMatrix(grid, _fourier_multiplier(grid.n, grid.momenta()))
 
 
 # ---------------------------------------------------------------- dynamics
@@ -306,7 +327,6 @@ def _expm_series(M: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndar
     Ms = M / 2 ** s
     n = M.shape[0]
     E = np.eye(n)
-    P = np.eye(n)
     PH = np.eye(n)
     term = np.eye(n)
     k = 1
@@ -380,8 +400,6 @@ def egorov_compare(A: SymbolEvaluator, H: PolySymbol, t: float, grid: GridSpec) 
     convention; the classical side therefore composes with the time -t
     flow.  Exact in the continuum; the report is pure discretization.
     """
-    from .grid import sample
-
     opa = quantize_kernel(A, grid)
     Hev = SymbolEvaluator.from_polysymbol(H)
     oph = quantize_kernel(Hev, grid, spectral=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 # polynomial: {exps: (re, im)}, exps a tuple of 2d non-negative ints
 # variable order: x_1..x_d, xi_1..xi_d
@@ -43,19 +43,32 @@ def c_mul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
+def p_integer(p):
+    """(D, {exps: (re * D, im * D)}): integer numerators over one denominator D."""
+    den = lcm(1, *(f.denominator for c in p.values() for f in c))
+    return den, {e: (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
+                 for e, (re, im) in p.items()}
+
+
 def p_mul(p, q):
+    """Product on integer numerators, one denominator per factor; Fractions built once."""
+    dp, pn = p_integer(p)
+    dq, qn = p_integer(q)
     out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            prod = c_mul(c1, c2)
-            r0, i0 = out.get(e, (Fraction(0), Fraction(0)))
-            out[e] = (r0 + prod[0], i0 + prod[1])
-    return p_clean(out)
+    for e1, (a, b) in pn.items():
+        for e2, (c, d) in qn.items():
+            e = tuple(u + v for u, v in zip(e1, e2))
+            r0, i0 = out.get(e, (0, 0))
+            out[e] = (r0 + a * c - b * d, i0 + a * d + b * c)
+    den = dp * dq
+    return {e: (Fraction(re, den), Fraction(im, den)) for e, (re, im) in out.items() if re or im}
 
 
 def p_scale(p, re, im=Fraction(0)):
-    return p_clean({e: c_mul(c, (Fraction(re), Fraction(im))) for e, c in p.items()})
+    s = (Fraction(re), Fraction(im))
+    if not s[1]:        # a real factor: two products per term, not four
+        return p_clean({e: (c[0] * s[0], c[1] * s[0]) for e, c in p.items()})
+    return p_clean({e: c_mul(c, s) for e, c in p.items()})
 
 
 def p_partial(p, var):
@@ -68,13 +81,6 @@ def p_partial(p, var):
         r0, i0 = out.get(ne, (Fraction(0), Fraction(0)))
         out[ne] = (r0 + scaled[0], i0 + scaled[1])
     return p_clean(out)
-
-
-def p_deriv_multi(p, var_offset, multi):
-    for k, order in enumerate(multi):
-        for _ in range(order):
-            p = p_partial(p, var_offset + k)
-    return p
 
 
 def mul_minus_i_pow(p, n):
@@ -90,16 +96,33 @@ def multi_indices(d, total):
 
 
 def brute_cj(A, B, j, d):
-    """C_j(A,B) straight from the definition, D = -i grad."""
+    """C_j(A,B) straight from the definition, D = -i grad.
+
+    Derivatives are memoised within the call, keyed by the operand and the
+    order in each variable (x_1..x_d, xi_1..xi_d); each is one `p_partial`
+    of a memoised lower one.
+    """
+    memo = {}
+
+    def deriv(which, orders):
+        key = (which, orders)
+        if key not in memo:
+            if any(orders):
+                v = max(i for i, o in enumerate(orders) if o)
+                memo[key] = p_partial(deriv(which, orders[:v] + (orders[v] - 1,) + orders[v + 1:]), v)
+            else:
+                memo[key] = (A, B)[which]
+        return memo[key]
+
     acc = p_zero()
     for alpha in multi_indices(d, j):
         for beta in multi_indices(d, j - sum(alpha)):
             if sum(alpha) + sum(beta) != j:
                 continue
-            dA = p_deriv_multi(p_deriv_multi(A, d, alpha), 0, beta)  # d_xi^a D_x^b A, phases later
+            dA = deriv(0, beta + alpha)     # d_xi^a D_x^b A, phases later
             if not dA:
                 continue
-            dB = p_deriv_multi(p_deriv_multi(B, d, beta), 0, alpha)
+            dB = deriv(1, alpha + beta)
             if not dB:
                 continue
             dA = mul_minus_i_pow(dA, sum(beta))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -153,6 +154,21 @@ def test_quantize_spectral_accepts_position_and_enveloped_symbols(capsys, symbol
     if symbol == "x^2":
         assert res == {"hermiticity_defect": 0.0, "roundtrip_interior_sup_error": 0.0,
                        "roundtrip_scale": 16.0, "saved": False}
+
+
+@pytest.mark.parametrize("argv", [
+    ["quantize", "--A", "gauss(1)", "--Nx", "16384"],
+    ["egorov", "--A", "x*gauss(1/4)", "--H", "1/2*x^2 + 1/2*xi^2", "--t", "0.7", "--Nx", "16384"],
+    ["coherent", "--A", "x^2", "--Y", "1,0.5", "--hbars", "0.5", "--Nx", "16384"],
+], ids=lambda argv: argv[0])
+def test_operator_runs_beyond_the_memory_cap_exit_before_allocating(argv):
+    # the closed-form peak is checked before any N x N array exists
+    start = time.perf_counter()
+    out = run_cli(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert out.returncode == 1 and out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("moyal-lab: Nx = 16384 needs about ") and "GiB" in out.stderr
 
 
 @pytest.mark.parametrize("argv", [

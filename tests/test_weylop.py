@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -6,9 +7,10 @@ import pytest
 
 from moyal_lab.evaluators import SymbolEvaluator, poisson_bracket_eval, window
 from moyal_lab.gridio import load_operator, load_wave, save_operator, save_wave
-from moyal_lab.grid import GridSpec, sample
+from moyal_lab.grid import GridSpec, GridSymbol, sample
 from moyal_lab.polysym import PolySymbol, Shape
-from moyal_lab.weylop import (OperatorMatrix, XGrid,
+from moyal_lab.weylop import (NYQUIST_TAIL, ROW_BLOCK, RUN_BYTES_CAP, OperatorMatrix, XGrid,
+                              _edge_taper, _half_step_shift, check_run_bytes,
                               classical_evolve_quadratic, coherent_state,
                               commutator, commutator_bracket, egorov_compare,
                               evolve_evaluator, expectation,
@@ -72,6 +74,161 @@ def test_nyquist_tail_warning():
     narrow = XGrid(16, 2.0, 1.0)
     with pytest.warns(UserWarning, match="band edge"):
         quantize_kernel(SymbolEvaluator.gauss(0.01), narrow)
+
+
+def quantize_kernel_reference(A, grid, spectral=False):
+    """The one-batch kernel: every midpoint row sampled and transformed at once.
+
+    Kept verbatim as the bitwise reference for the blocked `quantize_kernel`;
+    it holds several complex (2N - 1) x 2N arrays (256 MB at N = 1024).
+    """
+    n = grid.n
+    mids = -grid.box + 0.5 * grid.step * np.arange(2 * n - 1)
+    if spectral:
+        p = grid.momenta()
+        vals = A(mids[:, None], p[None, :])             # [midpoint, momentum]
+        G = np.fft.ifft(vals, axis=1)                   # [midpoint, (i-j) mod N]
+        idx = np.arange(n)
+        S = idx[:, None] + idx[None, :]
+        R = (idx[:, None] - idx[None, :]) % n
+        return OperatorMatrix(grid, G[S, R])
+    p = grid.hbar * 2.0 * np.pi * np.fft.fftfreq(2 * n, grid.step)
+    vals = A(mids[:, None], p[None, :])                 # [midpoint, 2N momenta]
+    peak = float(np.max(np.abs(vals)))
+    if peak > 0:
+        edge = float(np.max(np.abs(vals[:, n])))
+        if edge / peak > NYQUIST_TAIL:
+            warnings.warn(f"symbol tail fraction {edge / peak:.3e} at the momentum "
+                          "band edge; use spectral=True for polynomial symbols",
+                          stacklevel=2)
+    G = np.fft.ifft(vals, axis=1)                       # [midpoint, (i-j) mod 2N]
+    idx = np.arange(n)
+    S = idx[:, None] + idx[None, :]
+    R = (idx[:, None] - idx[None, :]) % (2 * n)
+    return OperatorMatrix(grid, G[S, R])
+
+
+def symbol_from_operator_reference(M):
+    """The symbol recovery with every array alive to the end (120 MB at N = 1024).
+
+    Kept verbatim as the bitwise reference for `symbol_from_operator`.
+    """
+    grid = M.grid
+    n = grid.n
+    dx = grid.step
+    m = np.diag(M.entries).copy()
+    if np.array_equal(M.entries, np.diag(m)):
+        # pure multiplication operator: flat symbol, exactly
+        return GridSymbol(grid, np.repeat(m[:, None], n, axis=1))
+    w = _edge_taper(grid)
+    Kt = w[:, None] * (M.entries / dx) * w[None, :]    # seam-safe tapered kernel
+    S = _half_step_shift(grid)
+    Kodd = S @ Kt @ S                                  # kernel at (x + h, y - h), h = dx/2
+
+    idx = np.arange(n)
+    rs = np.arange(-n // 4, n // 4)                    # |t| < L: beyond, the t-periodization image leaks in
+    A1 = (idx[:, None] + rs[None, :]) % n
+    A2 = (idx[:, None] - rs[None, :]) % n
+    Ge = Kt[A1, A2]                                    # t = 2 r dx
+    Go = Kodd[A1, A2]                                  # t = 2 r dx + dx
+    xi = grid.axis()
+    te = 2.0 * rs * dx
+    Ee = np.exp(-1j * np.outer(te, xi) / grid.hbar) * dx
+    Eo = np.exp(-1j * np.outer(te + dx, xi) / grid.hbar) * dx
+    samples = Ge @ Ee + Go @ Eo
+    return GridSymbol(grid, samples)
+
+
+KERNEL_SYMBOLS = [
+    SymbolEvaluator.gauss(1.0),
+    SymbolEvaluator.polynomial({(1, 0): 1.0}) * SymbolEvaluator.gauss(0.7, center=(0.3, -0.2)),
+    SymbolEvaluator.polynomial({(2, 0): 1.0, (0, 2): 0.5, (1, 1): -0.25, (3, 0): 0.1}),
+    SymbolEvaluator.polynomial({(1, 1): 1.0}),
+    # complex, non-Hermitian
+    SymbolEvaluator.polynomial({(1, 0): 1.0 + 2.0j, (0, 1): -0.5j}) * SymbolEvaluator.gauss(0.9),
+]
+
+
+@pytest.mark.parametrize("n, hbar", [(64, 1.0), (256, 0.6)])
+@pytest.mark.parametrize("spectral", [False, True])
+def test_kernels_bit_identical_to_reference(n, hbar, spectral):
+    grid = XGrid(n, 8.0, hbar)
+    for ev in KERNEL_SYMBOLS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            M = quantize_kernel(ev, grid, spectral=spectral)
+            ref = quantize_kernel_reference(ev, grid, spectral=spectral)
+        assert np.array_equal(M.entries, ref.entries)
+        assert np.array_equal(symbol_from_operator(M).samples,
+                              symbol_from_operator_reference(ref).samples)
+
+
+def test_symbol_from_operator_bit_identical_on_random_operators():
+    rng = np.random.default_rng(7)
+    for n in (64, 128):
+        grid = XGrid(n, 6.0, 0.8)
+        M = OperatorMatrix(grid, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        assert np.array_equal(symbol_from_operator(M).samples,
+                              symbol_from_operator_reference(M).samples)
+
+
+def test_near_diagonal_operator_is_not_a_multiplication():
+    # one off-diagonal entry leaves the flat-symbol path; a zero on the diagonal does not
+    X = position_operator(GRID)
+    assert np.count_nonzero(np.diag(X.entries)) == GRID.n - 1
+    assert np.array_equal(symbol_from_operator(X).samples,
+                          np.repeat(np.diag(X.entries)[:, None], GRID.n, axis=1))
+    near = X.entries.copy()
+    near[3, 4] = 1e-300
+    sym = symbol_from_operator(OperatorMatrix(GRID, near))
+    assert np.array_equal(sym.samples,
+                          symbol_from_operator_reference(OperatorMatrix(GRID, near)).samples)
+    assert not np.array_equal(sym.samples, symbol_from_operator(X).samples)
+
+
+@pytest.mark.parametrize("grid, ev, warns", [
+    (XGrid(16, 2.0, 1.0), SymbolEvaluator.gauss(0.01), True),
+    # the band-edge maximum and the peak fall in different row blocks, either way round
+    (XGrid(64, 4.0, 1.0), SymbolEvaluator.gauss(0.02, center=(3.0, 0.0))
+     + SymbolEvaluator.gauss(2.0, center=(-3.0, 0.0)).scaled(10.0), True),
+    (XGrid(64, 4.0, 1.0), SymbolEvaluator.gauss(0.02, center=(-3.0, 0.0))
+     + SymbolEvaluator.gauss(2.0, center=(3.0, 0.0)).scaled(10.0), True),
+    (XGrid(64, 8.0, 1.0), SymbolEvaluator.gauss(1.0), False),
+])
+def test_band_edge_warning_matches_reference(grid, ev, warns):
+    texts = []
+    for quantize in (quantize_kernel, quantize_kernel_reference):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            quantize(ev, grid)
+        texts.append([(w.category, str(w.message)) for w in caught])
+    assert texts[0] == texts[1]
+    assert len(texts[0]) == int(warns)
+
+
+def test_operator_kernels_memory_is_quadratic():
+    # at N = 1024 the one-batch kernel peaks at 256 MB and the reference recovery at 120 MB
+    grid = XGrid(1024, 8.0, 0.7)
+    tracemalloc.start()
+    try:
+        M = quantize_kernel(SymbolEvaluator.gauss(1.0), grid)
+        kernel_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        symbol_from_operator(M)
+        symbol_peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert kernel_peak < 48 * 2 ** 20
+    assert symbol_peak < 80 * 2 ** 20
+
+
+def test_run_bytes_cap_admits_every_nx_up_to_4096():
+    assert check_run_bytes(4096) < check_run_bytes(4096, evolve=True) <= RUN_BYTES_CAP
+    assert check_run_bytes(1024) == 16 * 1024 ** 2 * 8 + 256 * ROW_BLOCK * 1024
+    for evolve in (False, True):
+        with pytest.raises(ValueError, match="GiB"):
+            check_run_bytes(8192, evolve=evolve)
 
 
 def test_identity_round_trip():
