@@ -31,6 +31,21 @@ from .star import ConventionError, _bidifferential
 from .exppoly import ExpPolySymbol, pure_exp_collapse
 
 
+def _exp_bracket_terms(H: PolySymbol, orders) -> dict[int, PolySymbol]:
+    """{order: T_Y^* {T_Y, H}_order} for the given orders, from one bracket pass of the
+    kernel: i (C_j(T, H) - C_j(H, T)), where only T carries a phase."""
+    T = ExpPolySymbol.test_symbol(H.shape.d)
+    terms = _bidifferential(T.prefactor, ExpPolySymbol.from_poly(H).prefactor, orders,
+                            (-1, 0), bracket=True)
+    out = {}
+    for order, term in terms.items():
+        poly = (ExpPolySymbol(term, -1) * T.conjugated()).as_poly()
+        if poly.degree("hbar") > 0:
+            raise ConventionError("unexpected hbar content in a bracket term")
+        out[order] = poly.at_hbar(0) if poly.shape.has_hbar else poly
+    return out
+
+
 def bracket_term_exp(H: PolySymbol, j: int) -> PolySymbol:
     """T_Y^* {T_Y, H}_(2j+1) as an exact polynomial in (X, Y).
 
@@ -39,15 +54,7 @@ def bracket_term_exp(H: PolySymbol, j: int) -> PolySymbol:
     """
     if j < 0:
         raise ValueError("order must be >= 0")
-    order = 2 * j + 1
-    T = ExpPolySymbol.test_symbol(H.shape.d)
-    # i (C_j(T, H) - C_j(H, T)) in one bracket pass of the kernel; only T carries a phase
-    term = _bidifferential(T.prefactor, ExpPolySymbol.from_poly(H).prefactor, (order,),
-                           (-1, 0), bracket=True)[order]
-    poly = (ExpPolySymbol(term, -1) * T.conjugated()).as_poly()
-    if poly.degree("hbar") > 0:
-        raise ConventionError("unexpected hbar content in a bracket term")
-    return poly.at_hbar(0) if poly.shape.has_hbar else poly
+    return _exp_bracket_terms(H, (2 * j + 1,))[2 * j + 1]
 
 
 def expected_term_constant(j: int) -> CRational:
@@ -71,14 +78,10 @@ def exp_test_bracket(H: PolySymbol) -> PolySymbol:
     d = H.shape.d
     full = Shape(d, True, True)
 
-    # route (a): series over surviving odd orders
+    # route (a): series over surviving odd orders, all from one kernel pass
     series = PolySymbol.zero(full)
-    degH = H.degree()
-    j = 0
-    while 2 * j + 1 <= degH:
-        t = bracket_term_exp(H, j)
-        series = series + t.hbar_shifted(2 * j).promoted(full)
-        j += 1
+    for order, t in _exp_bracket_terms(H, range(1, H.degree() + 1, 2)).items():
+        series = series + t.hbar_shifted(order - 1).promoted(full)
 
     # route (b): symmetric difference quotient via the collapse rule
     T = ExpPolySymbol.test_symbol(d)

@@ -32,26 +32,29 @@ class CRational:
         return CRational(value)
 
     # -- ring operations --------------------------------------------------
+    # (real operands, the common case, pass their zero imaginary part through)
 
     def __add__(self, other: ScalarLike) -> "CRational":
         o = CRational.coerce(other)
-        return CRational(self.re + o.re, self.im + o.im)
+        return CRational(self.re + o.re, self.im + o.im if self.im or o.im else self.im)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "CRational":
         o = CRational.coerce(other)
-        return CRational(self.re - o.re, self.im - o.im)
+        return CRational(self.re - o.re, self.im - o.im if self.im or o.im else self.im)
 
     def __rsub__(self, other: ScalarLike) -> "CRational":
         o = CRational.coerce(other)
         return CRational(o.re - self.re, o.im - self.im)
 
     def __neg__(self) -> "CRational":
-        return CRational(-self.re, -self.im)
+        return CRational(-self.re, -self.im if self.im else self.im)
 
     def __mul__(self, other: ScalarLike) -> "CRational":
         o = CRational.coerce(other)
+        if not (self.im or o.im):
+            return CRational(self.re * o.re, self.im)
         return CRational(self.re * o.re - self.im * o.im,
                          self.re * o.im + self.im * o.re)
 

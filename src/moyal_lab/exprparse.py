@@ -296,9 +296,30 @@ def _var_target(name: str, d: int) -> tuple[str, int]:
     return block, axis
 
 
+MAX_EXACT_DEGREE = 64    # resource limit of the exact engine, checked before any power expands
+
+
+def degree_bound(n: Node) -> int:
+    """An upper bound on the total degree of `n`, read off the AST: a sum takes
+    the larger degree, a product adds, a power multiplies."""
+    if isinstance(n, (Add, Sub)):
+        return max(degree_bound(n.left), degree_bound(n.right))
+    if isinstance(n, Mul):
+        return degree_bound(n.left) + degree_bound(n.right)
+    if isinstance(n, Pow):
+        return degree_bound(n.base) * n.exponent
+    if isinstance(n, Neg):
+        return degree_bound(n.arg)
+    return 1 if isinstance(n, Var) else 0
+
+
 def lower_poly(node: Node, d: int = 1, allow_y: bool = False,
                allow_hbar: bool = False) -> PolySymbol:
-    """Lower to an exact PolySymbol; gauss factors are rejected here."""
+    """Lower to an exact PolySymbol; gauss factors are rejected here, and so is a
+    degree bound above MAX_EXACT_DEGREE."""
+    if (bound := degree_bound(node)) > MAX_EXACT_DEGREE:
+        raise ExprError(f"degree bound {bound} exceeds the exact engine's cap of {MAX_EXACT_DEGREE}",
+                        node.span[0])
     shape = Shape(d, allow_y, allow_hbar)
 
     def go(n):

@@ -21,7 +21,7 @@ so that {x, xi} = -1; see `moyal_lab.conventions` for the full sign table.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, perm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -117,6 +117,13 @@ class PolySymbol:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of(cls, shape: Shape, terms: dict) -> "PolySymbol":
+        """A symbol on `terms` as given: nonzero CRationals on exponent tuples of length nvars."""
+        r = cls.__new__(cls)
+        r.shape, r.terms = shape, terms
+        return r
+
+    @classmethod
     def zero(cls, shape: Shape) -> "PolySymbol":
         return cls(shape, {})
 
@@ -149,18 +156,13 @@ class PolySymbol:
                     out[e] = s
                 else:
                     del out[e]
-        r = PolySymbol.__new__(PolySymbol)
-        r.shape, r.terms = self.shape, out
-        return r
+        return PolySymbol._of(self.shape, out)
 
     def __sub__(self, other: "PolySymbol") -> "PolySymbol":
         return self + (-other)
 
     def __neg__(self) -> "PolySymbol":
-        r = PolySymbol.__new__(PolySymbol)
-        r.shape = self.shape
-        r.terms = {e: -c for e, c in self.terms.items()}
-        return r
+        return PolySymbol._of(self.shape, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, PolySymbol):
@@ -182,9 +184,7 @@ class PolySymbol:
                             out[e] = s
                         else:
                             del out[e]
-            r = PolySymbol.__new__(PolySymbol)
-            r.shape, r.terms = self.shape, out
-            return r
+            return PolySymbol._of(self.shape, out)
         return self.scaled(other)
 
     def __rmul__(self, other):
@@ -194,11 +194,9 @@ class PolySymbol:
         c0 = CRational.coerce(scalar)
         if not c0:
             return PolySymbol.zero(self.shape)
-        r = PolySymbol.__new__(PolySymbol)
-        r.shape = self.shape
         unit = _UNITS.get((c0.re, c0.im))
-        r.terms = {e: unit(c) if unit else c * c0 for e, c in self.terms.items()}
-        return r
+        return PolySymbol._of(self.shape, {e: unit(c) if unit else c * c0
+                                           for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "PolySymbol":
         if n < 0:
@@ -214,65 +212,32 @@ class PolySymbol:
 
     def conjugate(self) -> "PolySymbol":
         """Complex conjugation of coefficients (all variables are real)."""
-        r = PolySymbol.__new__(PolySymbol)
-        r.shape = self.shape
-        r.terms = {e: c.conjugate() for e, c in self.terms.items()}
-        return r
+        return PolySymbol._of(self.shape, {e: c.conjugate() for e, c in self.terms.items()})
 
     # -- calculus ------------------------------------------------------------
 
     def partial(self, block: str, axis: int = 0) -> "PolySymbol":
         """Formal partial derivative in one variable."""
-        slot = self.shape.slot(block, axis)
-        out: dict[tuple, CRational] = {}
-        for e, c in self.terms.items():
-            k = e[slot]
-            if k == 0:
-                continue
-            ne = e[:slot] + (k - 1,) + e[slot + 1:]
-            nc = c * k
-            s = out.get(ne)
-            out[ne] = nc if s is None else s + nc
-        r = PolySymbol.__new__(PolySymbol)
-        r.shape = self.shape
-        r.terms = {e: c for e, c in out.items() if c}
-        return r
+        return self._derived({self.shape.slot(block, axis): 1})
 
     def partial_multi(self, x: Sequence[int] = (), xi: Sequence[int] = ()) -> "PolySymbol":
         """d_x^a d_xi^b applied termwise (a, b multi-indices of length d)."""
-        d = self.shape.d
-        orders = [0] * self.shape.nvars
-        for k, o in enumerate(x):
-            orders[self.shape.slot("x", k)] = o
-        for k, o in enumerate(xi):
-            orders[self.shape.slot("xi", k)] = o
-        if len(x) > d or len(xi) > d:
+        if len(x) > self.shape.d or len(xi) > self.shape.d:
             raise ShapeError("multi-index longer than dimension")
+        return self._derived({self.shape.slot(b, k): o for b, m in (("x", x), ("xi", xi))
+                              for k, o in enumerate(m) if o})
+
+    def _derived(self, orders: dict) -> "PolySymbol":
+        """Every slot s differentiated orders[s] times, termwise."""
         out: dict[tuple, CRational] = {}
         for e, c in self.terms.items():
-            ne = list(e)
-            factor = 1
-            ok = True
-            for slot, o in enumerate(orders):
-                if not o:
-                    continue
-                k = e[slot]
-                if k < o:
-                    ok = False
-                    break
-                for j in range(k, k - o, -1):  # falling factorial k(k-1)..(k-o+1)
-                    factor *= j
-                ne[slot] = k - o
-            if not ok:
-                continue
-            ne_t = tuple(ne)
-            nc = c * factor
-            s = out.get(ne_t)
-            out[ne_t] = nc if s is None else s + nc
-        r = PolySymbol.__new__(PolySymbol)
-        r.shape = self.shape
-        r.terms = {e: c for e, c in out.items() if c}
-        return r
+            if all(e[s] >= o for s, o in orders.items()):
+                ne, factor = list(e), 1
+                for s, o in orders.items():
+                    ne[s], factor = e[s] - o, factor * perm(e[s], o)
+                nc, ne = c * factor, tuple(ne)
+                out[ne] = nc if (old := out.get(ne)) is None else old + nc
+        return PolySymbol._of(self.shape, {e: c for e, c in out.items() if c})
 
     # -- degrees, parts, predicates -------------------------------------------
 
@@ -280,37 +245,24 @@ class PolySymbol:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _slots(self, blocks: tuple) -> list:
+        """Exponent slots of the given blocks (default: the X blocks)."""
+        return [self.shape.slot(b, k) for b in blocks or ("x", "xi")
+                for k in range(1 if b == "hbar" else self.shape.d)]
+
     def degree(self, *blocks: str) -> int:
         """Total degree over the given blocks (default: the X blocks).
 
         The zero polynomial reports -1.
         """
-        if not blocks:
-            blocks = ("x", "xi")
-        d = self.shape.d
-        slots = []
-        for b in blocks:
-            if b == "hbar":
-                slots.append(self.shape.slot("hbar"))
-            else:
-                slots.extend(self.shape.slot(b, k) for k in range(d))
-        if not self.terms:
-            return -1
-        return max(sum(e[s] for s in slots) for e in self.terms)
+        slots = self._slots(blocks)
+        return max((sum(e[s] for s in slots) for e in self.terms), default=-1)
 
     def homogeneous_part(self, k: int, *blocks: str) -> "PolySymbol":
         """Terms whose total degree over the given blocks equals k."""
-        if not blocks:
-            blocks = ("x", "xi")
-        d = self.shape.d
-        slots = []
-        for b in blocks:
-            if b == "hbar":
-                slots.append(self.shape.slot("hbar"))
-            else:
-                slots.extend(self.shape.slot(b, j) for j in range(d))
-        picked = {e: c for e, c in self.terms.items() if sum(e[s] for s in slots) == k}
-        return PolySymbol(self.shape, picked)
+        slots = self._slots(blocks)
+        return PolySymbol._of(self.shape, {e: c for e, c in self.terms.items()
+                                           if sum(e[s] for s in slots) == k})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolySymbol):
@@ -344,7 +296,7 @@ class PolySymbol:
             for s_slot, d_slot in moves:
                 ne[d_slot] = e[s_slot]
             out[tuple(ne)] = c
-        return PolySymbol(dst, out)
+        return PolySymbol._of(dst, out)
 
     def translated(self, shifts: Sequence["PolySymbol | None"]) -> "PolySymbol":
         """Compose with X -> X + shift, shifts affine in the target variables.
@@ -404,8 +356,8 @@ class PolySymbol:
                     out[key] = (r0 + b * (re * wr - im * wi), i0 + b * (re * wi + im * wr))
             acc = {e: v for e, v in out.items() if v[0] or v[1]}
             den *= q ** top
-        return PolySymbol(target, {e: CRational(Fraction(re, den), Fraction(im, den))
-                                   for e, (re, im) in acc.items()})
+        return PolySymbol._of(target, {e: CRational(Fraction(re, den), Fraction(im, den))
+                                       for e, (re, im) in acc.items()})
 
     def at_hbar(self, value: ScalarLike) -> "PolySymbol":
         """Collapse the formal hbar variable to an exact numeric value."""
@@ -423,7 +375,7 @@ class PolySymbol:
             nc = c if (p := powers[e[slot]]) is ONE else c * p
             s = out.get(ne)
             out[ne] = nc if s is None else s + nc
-        return PolySymbol(new_shape, out)
+        return PolySymbol._of(new_shape, {e: c for e, c in out.items() if c})
 
     def divided_by_hbar(self, k: int = 1) -> "PolySymbol":
         """Exact division by hbar^k; every term must carry hbar^k."""
@@ -433,15 +385,15 @@ class PolySymbol:
             if e[slot] < k:
                 raise ValueError("polynomial not divisible by hbar^%d" % k)
             out[e[:slot] + (e[slot] - k,) + e[slot + 1:]] = c
-        return PolySymbol(self.shape, out)
+        return PolySymbol._of(self.shape, out)
 
     def hbar_shifted(self, k: int) -> "PolySymbol":
         """Multiply by hbar^k (adding the hbar block if absent)."""
         target = Shape(self.shape.d, self.shape.has_y, True)
         p = self.promoted(target)
         slot = target.slot("hbar")
-        return PolySymbol(target, {e[:slot] + (e[slot] + k,) + e[slot + 1:]: c
-                                   for e, c in p.terms.items()})
+        return PolySymbol._of(target, {e[:slot] + (e[slot] + k,) + e[slot + 1:]: c
+                                       for e, c in p.terms.items()})
 
     # -- evaluation ------------------------------------------------------------
 

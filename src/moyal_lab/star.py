@@ -16,11 +16,20 @@ at order s with the integer table entry
     T[s] = sum_{a+b=s} (-1)^b C(be,a) [ga]_a C(al,b) [de]_b,   [g]_a = g(g-1)...(g-a+1),
 
 so a monomial pair gives its whole series at once as a product of d tables:
-order j = s_1 + ... + s_d, coefficient (-i/2)^j prod_k T_k[s_k].  Both
-operands are first put on a common denominator, every pair is accumulated
-in Python ints, and (-i/2)^j / (D_A D_B) is applied once per output term.
-A phase factor e^{i s L_Y} (exppoly) enters the same tables through the
-Leibniz terms of (d_x + i s eta)^b (d_xi - i s y)^a.
+order j = s_1 + ... + s_d, coefficient (-i/2)^j prod_k T_k[s_k].  A phase
+factor e^{i s L_Y} (exppoly) enters the same tables through the Leibniz
+terms of (d_x + i s eta)^b (d_xi - i s y)^a.
+
+The kernel works in Python ints.  Both operands go on a common denominator,
+and (-i/2)^j / (D_A D_B) is applied once per output term.  An output key is
+one int: exponent slot i is the digit at bit width*i and the order j sits on
+top, the width being the bit length of deg A + deg B + j_max over all blocks.
+Each term is packed once and each table entry holds its key delta (s in the
+order digit), so a row's key is key_A + key_B + the deltas.  Tables are built
+on first use and live for one call.  Terms are grouped by their exponents on
+axes 0..d-2, so the prefix rows are built once per pair of groups and the
+last axis runs inside the accumulation: O(pairs x rows) integer
+multiply-adds.
 
 Series are represented by `HbarSeries`: a finite map {j: PolySymbol} of
 hbar-power to coefficient symbol (coefficients carry no hbar block).
@@ -30,8 +39,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, perm
-from operator import add
+from math import comb, factorial, lcm, perm
 from typing import Mapping
 
 from .crational import CRational, I, ScalarLike
@@ -140,49 +148,36 @@ def _leibniz(n: int, e: int, sign: int, memo: dict) -> list:
     return memo[n, e, sign]
 
 
-def _axis_table(ea: tuple, eb: tuple, sa: int, sb: int, smax: int, memo: dict) -> list:
-    """[(s, output exponents, s! T[s])] on one axis for exponents ea, eb: (x, xi[, y, eta]).
+def _half_table(e1: int, s1: int, e2: int, s2: int, smax: int, memo: dict) -> list:
+    """[[(k1, k2, coefficient)] for n = 0, 1, ...]: the Leibniz terms of n derivatives
+    of t^e1 (phase sign s1) times those of t^e2 (phase sign s2)."""
+    if (e1, s1, e2, s2) not in memo:
+        memo[e1, s1, e2, s2] = [[(q, r, u * v) for q, u in _leibniz(n, e1, s1, memo)
+                                 for r, v in _leibniz(n, e2, s2, memo)]
+                                for n in range(min(smax, smax if s1 else e1, smax if s2 else e2) + 1)]
+    return memo[e1, s1, e2, s2]
+
+
+def _axis_table(al: int, be: int, ga: int, de: int, sa: int, sb: int, smax: int,
+                memo: dict) -> list:
+    """[(s, P, Q, s! T[s])] on one axis for the left monomial x^al xi^be and the
+    right monomial x^ga xi^de: the order-s term is x^(al+ga-P) xi^(be+de-Q).
 
     With phase signs sa, sb the derivatives expand by Leibniz, each phase
-    factor counted without its i (restored from the output Y degree).
+    factor counted without its i (restored from the output Y degree) and
+    raising y by s - Q and eta by s - P.
     """
-    al, be, ga, de = ea[0], ea[1], eb[0], eb[1]
     top = min(smax, al + be + ga + de)     # every term of the series differentiates
     # order a: d_xi^a on the left, d_x^a on the right; order b: d_x^b left, d_xi^b right
-    on_a = [[(q, r, u * v) for q, u in _leibniz(a, be, -sa, memo) for r, v in _leibniz(a, ga, sb, memo)]
-            for a in range(min(top, top if sa else be, top if sb else ga) + 1)]
-    on_b = [[(p, t, u * v) for p, u in _leibniz(b, al, sa, memo) for t, v in _leibniz(b, de, -sb, memo)]
-            for b in range(min(top, top if sa else al, top if sb else de) + 1)]
+    on_a, on_b = _half_table(be, -sa, ga, sb, smax, memo), _half_table(al, sa, de, -sb, smax, memo)
     sums: dict = defaultdict(int)
-    for a, terms_a in enumerate(on_a):
-        for b in range(min(len(on_b), top - a + 1)):
+    for a, terms_a in enumerate(on_a[:top + 1]):
+        for b, terms_b in enumerate(on_b[:top + 1 - a]):
             w = comb(a + b, a) * (-1) ** b            # s!/(a! b!)
             for q, r, u in terms_a:
-                for p, t, v in on_b[b]:
+                for p, t, v in terms_b:
                     sums[a + b, p + r, q + t] += w * u * v
-    table = []
-    for (s, P, Q), v in sums.items():
-        out = (al + ga - P, be + de - Q)
-        if len(ea) == 4:                   # each phase factor raises the Y degree by one
-            out += (ea[2] + eb[2] + s - Q, ea[3] + eb[3] + s - P)
-        if v:
-            table.append((s, out, v))
-    return table
-
-
-def _on_common_denominator(p: PolySymbol, w: int) -> tuple[int, list]:
-    """(D, [(per-axis exponents, hbar exponent, re, im)]) with p = sum (re + i im) X^e / D,
-    each (re, im) times i^-(Y degree) so that the phases' powers of i can be restored."""
-    d = p.shape.d
-    D = lcm(*(q.denominator for c in p.terms.values() for q in (c.re, c.im)))
-    out = []
-    for e, c in p.terms.items():
-        re, im = c.re.numerator * (D // c.re.denominator), c.im.numerator * (D // c.im.denominator)
-        for _ in range(sum(e[2 * d:w * d]) % 4):
-            re, im = im, -re
-        out.append((tuple(tuple(e[k + b * d] for b in range(w)) for k in range(d)),
-                    e[w * d:], re, im))
-    return D, out
+    return [(s, P, Q, v) for (s, P, Q), v in sums.items() if v]
 
 
 def _bidifferential(A: PolySymbol, B: PolySymbol, orders, signs=(0, 0),
@@ -193,42 +188,73 @@ def _bidifferential(A: PolySymbol, B: PolySymbol, orders, signs=(0, 0),
     `signs` are the phase signs s of the factors e^{i s L_Y} on A and B.
     """
     orders, shape, d = set(orders), A.shape, A.shape.d
-    w, jmax = (4 if shape.has_y else 2), max(orders, default=-1)
-    DA, At = _on_common_denominator(A, w)
-    DB, Bt = _on_common_denominator(B, w)
-    passes = [(At, Bt, signs, 1)] + ([(Bt, At, signs[::-1], -1)] if bracket else [])
-    keys = {(ea, eb, sa, sb) for Lt, Rt, (sa, sb), _ in passes for k in range(d)
-            for ea in {t[0][k] for t in Lt} for eb in {t[0][k] for t in Rt}}
-    memo: dict = {}         # Leibniz lists, shared by this call's tables and no other call
-    tables = {key: _axis_table(*key, jmax, memo) for key in keys}
-    fact = [factorial(s) for s in range(jmax + 1)]
-    # entries are s! T[s]; T[s] is an integer without phases, and L clears what phases leave
-    L = lcm(*(fact[s] // gcd(v, fact[s]) for table in tables.values() for s, _, v in table))
-    tables = {key: [(s, out, v * L // fact[s]) for s, out, v in t] for key, t in tables.items()}
-    acc: dict = defaultdict(lambda: [0, 0])  # (j, hbar exponent + axis exponents) -> [re, im]
-    for Lt, Rt, (sa, sb), sign in passes:
-        for axA, tailA, ar, ai in Lt:
-            for axB, tailB, br, bi in Rt:
-                cr, ci = sign * (ar * br - ai * bi), sign * (ar * bi + ai * br)
-                rows = [(0, tuple(map(add, tailA, tailB)), 1)]
-                for k in range(d):
-                    rows = [(j + s, key + out, v * u) for j, key, v in rows
-                            for s, out, u in tables[axA[k], axB[k], sa, sb] if j + s <= jmax]
-                for j, key, v in rows:
-                    if j in orders:
-                        c = acc[j, key]
-                        c[0] += v * cr
-                        c[1] += v * ci
-    nt, base = (1 if shape.has_hbar else 0), L ** d * DA * DB
-    terms: dict = {j: {} for j in orders}
-    for (j, key), (re, im) in acc.items():
-        axes = key[nt:]
-        e = tuple(axes[k * w + b] for b in range(w) for k in range(d)) + key[:nt]
-        # times (-i)^j = i^3j, the phases' i^(Y degree), and the bracket's i
-        for _ in range((3 * j + sum(e[2 * d:w * d]) + bracket) % 4):
-            re, im = -im, re
-        terms[j][e] = CRational(Fraction(re, base << j), Fraction(im, base << j))
-    return {j: PolySymbol(shape, t) for j, t in terms.items()}
+    jmax, nv, ny = max(orders, default=-1), shape.nvars, (4 if shape.has_y else 2) * d
+    width = (sum(max(map(sum, p.terms), default=0) for p in (A, B)) + max(jmax, 0)).bit_length()
+    top, mask, fact = nv * width, (1 << width) - 1, [factorial(s) for s in range(jmax + 1)]
+    # entries s! T[s] F / s! are integers: T[s] is one without phases, and F = jmax! clears the rest
+    F = factorial(max(jmax, 0)) if any(signs) else 1
+    memo, tables = {}, {}       # Leibniz lists, half tables and packed tables of this call only
+
+    def grouped(p, sign):
+        """(D, {exponents on axes 0..d-2: [(last-axis code, key, n, k)]}): sign * p is the sum
+        of n i^(k + Y degree) X^e / D over the entries, k being 0 for a real and 1 for an
+        imaginary part, less the Y degree, which the output restores as the phases' i."""
+        D = lcm(*(q.denominator for c in p.terms.values() for q in (c.re, c.im)))
+        groups: dict = defaultdict(list)
+        for e, c in p.terms.items():
+            key = sum(x << width * i for i, x in enumerate(e))
+            for part, q in enumerate((c.re, c.im)):
+                if q:
+                    groups[e[:d - 1] + e[d:2 * d - 1]].append((
+                        e[d - 1] << width | e[2 * d - 1], key,
+                        sign * q.numerator * (D // q.denominator), part - sum(e[2 * d:ny]) & 3))
+        return D, groups
+
+    def table(k, ea, eb, sa, sb):
+        """[(s, key delta, entry)] on axis k for the (x, xi) exponents ea (left) and eb (right)."""
+        if (k, ea, eb, sa, sb) not in tables:
+            sx, sxi, sy, seta = (width * (k + b * d) for b in range(4))
+            has_y = shape.has_y
+            tables[k, ea, eb, sa, sb] = [
+                (s, (s << top) - (P << sx) - (Q << sxi)
+                 + ((s - Q << sy) + (s - P << seta) if has_y else 0), v * F // fact[s])
+                for s, P, Q, v in _axis_table(*ea, *eb, sa, sb, jmax, memo)]
+        return tables[k, ea, eb, sa, sb]
+
+    (DA, GA), (DB, GB) = grouped(A, 1), grouped(B, 1)
+    acc = [defaultdict(int) for _ in range(4)]      # key -> numerator of i^0, i^1, i^2, i^3
+    passes = [(GA, GB, signs)] + ([(grouped(B, -1)[1], GA, signs[::-1])] if bracket else [])
+    for left, right, (sa, sb) in passes:
+        lasts: dict = {}    # last-axis codes -> [[(key delta, entry)] taking order j into orders]
+        for pa, Lt in left.items():
+            for pb, Rt in right.items():
+                rows = [(0, 0, 1)]          # (order, key delta, entry) over axes 0..d-2
+                for k in range(d - 1):
+                    t = table(k, (pa[k], pa[d - 1 + k]), (pb[k], pb[d - 1 + k]), sa, sb)
+                    rows = t if k == 0 else [(j + s, dj + dk, v * u) for j, dj, v in rows
+                                             for s, dk, u in t if j + s <= jmax]
+                for la, ka, va, ra in Lt:
+                    for lb, kb, vb, rb in Rt:
+                        if (last := lasts.get(la << top | lb)) is None:
+                            t = table(d - 1, (la >> width, la & mask), (lb >> width, lb & mask), sa, sb)
+                            last = lasts[la << top | lb] = [
+                                [(dk, u) for s, dk, u in t if j + s in orders]
+                                for j in range(max(jmax, 0) + 1 if d > 1 else 1)]
+                        into, c, kab = acc[ra + rb & 3], va * vb, ka + kb
+                        for j, dj, v in rows:
+                            key, vc = kab + dj, v * c
+                            for dk, u in last[j]:
+                                into[key + dk] += u * vc
+    base, terms, (a0, a1, a2, a3) = F ** d * DA * DB, {j: {} for j in orders}, acc
+    for key in set().union(*acc):
+        j, e = key >> top, tuple(key >> width * i & mask for i in range(nv))
+        c = a0.get(key, 0), a1.get(key, 0), a2.get(key, 0), a3.get(key, 0)
+        # sum_k c[k] i^k times i^n: (-i)^j = i^3j, the phases' i^(Y degree), and the bracket's i
+        n = 3 * j + sum(e[2 * d:ny]) + bracket
+        re, im = c[-n % 4] - c[(2 - n) % 4], c[(1 - n) % 4] - c[(3 - n) % 4]
+        if re or im:
+            terms[j][e] = CRational(Fraction(re, base << j), Fraction(im, base << j))
+    return {j: PolySymbol._of(shape, t) for j, t in terms.items()}
 
 
 def cj_coefficient(A: PolySymbol, B: PolySymbol, j: int) -> PolySymbol:
@@ -247,15 +273,20 @@ def moyal_product(A: PolySymbol, B: PolySymbol) -> HbarSeries:
     return HbarSeries(A.shape, _bidifferential(A, B, range(min(A.degree(), B.degree()) + 1)))
 
 
-def star(A, B) -> HbarSeries:
-    """Bilinear extension of the product to HbarSeries operands."""
+def _bilinear(op, A, B) -> HbarSeries:
+    """The extension of a bilinear series-valued `op` on PolySymbols to HbarSeries operands."""
     SA = A if isinstance(A, HbarSeries) else HbarSeries.of(A)
     SB = B if isinstance(B, HbarSeries) else HbarSeries.of(B)
     out = HbarSeries.zero(SA.shape)
     for a, P in SA.coeffs.items():
         for b, Q in SB.coeffs.items():
-            out = out + moyal_product(P, Q).shifted(a + b)
+            out = out + op(P, Q).shifted(a + b)
     return out
+
+
+def star(A, B) -> HbarSeries:
+    """Bilinear extension of the product to HbarSeries operands."""
+    return _bilinear(moyal_product, A, B)
 
 
 def bracket_term(A: PolySymbol, B: PolySymbol, j: int) -> PolySymbol:
@@ -290,13 +321,7 @@ def moyal_bracket(A: PolySymbol, B: PolySymbol) -> HbarSeries:
 
 def moyal_bracket_series(A, B) -> HbarSeries:
     """Bilinear extension of the Moyal bracket to HbarSeries operands."""
-    SA = A if isinstance(A, HbarSeries) else HbarSeries.of(A)
-    SB = B if isinstance(B, HbarSeries) else HbarSeries.of(B)
-    out = HbarSeries.zero(SA.shape)
-    for a, P in SA.coeffs.items():
-        for b, Q in SB.coeffs.items():
-            out = out + moyal_bracket(P, Q).shifted(a + b)
-    return out
+    return _bilinear(moyal_bracket, A, B)
 
 
 def truncated_bracket(A: PolySymbol, B: PolySymbol, m: int) -> HbarSeries:

@@ -171,6 +171,24 @@ def test_operator_runs_beyond_the_memory_cap_exit_before_allocating(argv):
     assert out.stderr.startswith("moyal-lab: Nx = 16384 needs about ") and "GiB" in out.stderr
 
 
+@pytest.mark.parametrize("power", [3000, 100000000])
+def test_exact_degree_beyond_the_cap_exits_before_expanding(power):
+    # the degree bound is read off the expression; no power is expanded
+    A = f"x^{power}*xi^{power}"
+    start = time.perf_counter()
+    out = run_cli("star", "--A", A, "--B", A)
+    assert time.perf_counter() - start < 1.0
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.splitlines() == [
+        f"moyal-lab: degree bound {2 * power} exceeds the exact engine's cap of 64 (at position 0)"]
+
+
+def test_exact_degree_cap_admits_degree_forty(capsys):
+    assert cli.main(["star", "--A", "(x+xi)^40", "--B", "x*xi"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["result"]["orders"] == [0, 1, 2]
+
+
 @pytest.mark.parametrize("argv", [
     ["star", "--A", "x^3", "--B", "xi^2"],
     ["bracket", "--A", "xi^3", "--H", "x^3", "--mode", "both"],

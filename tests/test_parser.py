@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from moyal_lab.exprparse import (ExprError, lower_evaluator, lower_poly,
-                                 parse_symbol, pretty)
+from moyal_lab.exprparse import (MAX_EXACT_DEGREE, ExprError, degree_bound, lower_evaluator,
+                                 lower_poly, parse_symbol, pretty)
 from moyal_lab.polysym import PhasePoint, PolySymbol, Shape
 
 
@@ -128,3 +128,20 @@ def test_evaluator_lowering_cost_follows_degree():
     ev = lower_evaluator(parse_symbol("(x + xi)^40*gauss(1)"))
     assert time.perf_counter() - start < 1.0
     assert len(ev.atoms) == 1 and ev.atoms[0].poly.shape == (41, 41)
+
+
+@pytest.mark.parametrize("text, bound", [
+    ("3/2", 0), ("x", 1), ("-x*xi + hbar", 2), ("(x + xi^2)^3", 6),
+    ("(x - x)^5", 5), ("x^2*(xi + 1)^3 - y", 5), ("(x^2)^0", 0),
+])
+def test_degree_bound_reads_the_ast(text, bound):
+    node = parse_symbol(text)
+    assert degree_bound(node) == bound
+    if "y" not in text and "hbar" not in text:
+        assert lower_poly(node).degree() <= bound
+
+
+def test_lower_poly_rejects_a_degree_bound_above_the_cap():
+    lower_poly(parse_symbol(f"x^{MAX_EXACT_DEGREE}"))
+    with pytest.raises(ExprError, match=f"degree bound {MAX_EXACT_DEGREE + 1} exceeds"):
+        lower_poly(parse_symbol(f"x^{MAX_EXACT_DEGREE}*xi"))
