@@ -132,13 +132,11 @@ def gvh_certificate(H: PolySymbol, m: int) -> Certificate:
     if H.shape.has_y or H.shape.has_hbar:
         raise ValueError("H must be a plain polynomial in X")
     degH = H.degree()
-    order = 2 * m + 3
-    while order <= degH:
+    for order in range(2 * m + 3, degH + 1, 2):
         w = bracket_term_exp(H, (order - 1) // 2)
         if not w.is_zero:
             return Certificate(m=m, degree=degH, equal=False,
                                witness=w, failing_order=order)
-        order += 2
     return Certificate(m=m, degree=degH, equal=True)
 
 
@@ -192,15 +190,13 @@ def mpc_identity_check(H: PolySymbol) -> MpcReport:
 
     xy = Shape(d, True, False)
     Hxy = H.promoted(xy)
-    yshift = [PolySymbol.var(xy, "y", k) for k in range(d)]
-    yshift += [PolySymbol.var(xy, "eta", k) for k in range(d)]
+    yshift = [PolySymbol.var(xy, b, k) for b in ("y", "eta") for k in range(d)]
     taylor = Hxy.translated(yshift) - Hxy
     defect = at1 - taylor
 
     printed = None
     if d == 1:
-        y = PolySymbol.var(xy, "y", 0)
-        eta = PolySymbol.var(xy, "eta", 0)
+        y, eta = PolySymbol.var(xy, "y"), PolySymbol.var(xy, "eta")
         pattern = (y ** 3 * Hxy.partial_multi(x=(3,))
                    + eta ** 3 * Hxy.partial_multi(xi=(3,))
                    - y ** 2 * eta * Hxy.partial_multi(x=(2,), xi=(1,))

@@ -8,8 +8,9 @@ error or out of memory, 2 numeric tolerance or floating-point failure,
 3 internal invariant failure or any other error; every failure prints one
 "moyal-lab: ..." line to stderr.
 
-The environment variable MOYAL_LAB_THREADS caps worker threads of the
-numeric backends; it must be read before numpy loads, so the numeric
+The environment variable MOYAL_LAB_THREADS sets the worker threads of the
+numeric backends, 1 when unset, so that output does not depend on the
+host's core count; it must be read before numpy loads, so the numeric
 modules are imported lazily inside the handlers.
 """
 
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from .conventions import CONVENTIONS
 from .crational import CRational
-from .exprparse import ExprError, lower_poly, parse_symbol, pretty
+from .exprparse import ExprError, check_exact_pair, lower_poly, parse_symbol, pretty
 from .polysym import PolySymbol
 from .star import ConventionError, HbarSeries, calibration_check
 
@@ -95,6 +96,13 @@ def _poly_arg(text: str, d: int) -> PolySymbol:
     return lower_poly(parse_symbol(text), d=d)
 
 
+def _poly_pair(a: str, b: str, d: int) -> tuple[PolySymbol, PolySymbol]:
+    """Both operands of an exact product or bracket, refused before lowering if too large."""
+    na, nb = parse_symbol(a), parse_symbol(b)
+    check_exact_pair(na, nb, d)
+    return lower_poly(na, d=d), lower_poly(nb, d=d)
+
+
 def _eval_arg(text: str):
     from .exprparse import lower_evaluator
 
@@ -112,8 +120,7 @@ def _num_list(text: str, kind=float) -> list:
 
 def cmd_star(args) -> int:
     if args.mode == "exact":
-        A = _poly_arg(args.A, args.d)
-        B = _poly_arg(args.B, args.d)
+        A, B = _poly_pair(args.A, args.B, args.d)
         from .star import moyal_product
 
         prod = moyal_product(A, B)
@@ -143,8 +150,7 @@ def cmd_bracket(args) -> int:
     from .star import bracket_discrepancy, moyal_bracket, truncated_bracket
     from .polysym import poisson_bracket
 
-    A = _poly_arg(args.A, args.d)
-    H = _poly_arg(args.H, args.d)
+    A, H = _poly_pair(args.A, args.H, args.d)
     result = {}
     if args.mode in ("poisson", "both"):
         result["poisson"] = poly_json(poisson_bracket(A, H))
@@ -416,10 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("MOYAL_LAB_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
+    threads = os.environ.get("MOYAL_LAB_THREADS") or "1"
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, threads)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

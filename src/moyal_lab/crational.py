@@ -1,9 +1,11 @@
 """Exact complex numbers over the rationals.
 
-These are the coefficients of every exact symbol in the package.  Both
+The scalar type at the package's boundary: the coefficients a symbol is
+built from and the values of its `terms` view (symbols themselves store
+integer numerators over one denominator, see `moyal_lab.polysym`).  Both
 parts are `fractions.Fraction`, so denominators stay normalized (positive,
-coprime with the numerator) and equality of symbols is decidable, never a
-matter of rounding.
+coprime with the numerator) and equality is decidable, never a matter of
+rounding.
 """
 
 from __future__ import annotations
@@ -40,14 +42,6 @@ class CRational:
 
     __radd__ = __add__
 
-    def __sub__(self, other: ScalarLike) -> "CRational":
-        o = CRational.coerce(other)
-        return CRational(self.re - o.re, self.im - o.im if self.im or o.im else self.im)
-
-    def __rsub__(self, other: ScalarLike) -> "CRational":
-        o = CRational.coerce(other)
-        return CRational(o.re - self.re, o.im - self.im)
-
     def __neg__(self) -> "CRational":
         return CRational(-self.re, -self.im if self.im else self.im)
 
@@ -68,14 +62,10 @@ class CRational:
         return CRational((self.re * o.re + self.im * o.im) / n,
                          (self.im * o.re - self.re * o.im) / n)
 
-    def __rtruediv__(self, other: ScalarLike) -> "CRational":
-        return CRational.coerce(other) / self
-
     def __pow__(self, n: int) -> "CRational":
         if n < 0:
             return CRational(1) / self ** (-n)
-        out = CRational(1)
-        base = self
+        out, base = CRational(1), self
         while n:
             if n & 1:
                 out = out * base

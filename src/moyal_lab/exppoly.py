@@ -172,12 +172,9 @@ def pure_exp_collapse(F: ExpPolySymbol, side: str, pure_sign: int) -> ExpPolySym
         raise ValueError("the pure factor must have phase sign -1 or +1")
     if F.sign + pure_sign not in (-1, 0, 1):
         raise ValueError("collapse would leave the phase-sign range {-1,0,+1}")
-    if side == "right":
-        coeff = Fraction(pure_sign, 2)
-    elif side == "left":
-        coeff = Fraction(-pure_sign, 2)
-    else:
+    if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    coeff = Fraction(pure_sign if side == "right" else -pure_sign, 2)
     # the phase is invariant under shifts along Y, since L_Y(Y) = sigma(Y, Y) = 0
     full = F.prefactor.shape
     shifts = [PolySymbol.var(full, block, k).scaled(coeff).hbar_shifted(1)

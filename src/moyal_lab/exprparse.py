@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .crational import CRational
 from .polysym import PolySymbol, Shape
@@ -244,20 +245,9 @@ def parse_symbol(text: str) -> Node:
 def pretty(node: Node) -> str:
     """Canonical rendering; parse(pretty(parse(s))) is a fixed point."""
 
-    def prec(n):
-        if isinstance(n, (Add, Sub)):
-            return 1
-        if isinstance(n, Mul):
-            return 2
-        if isinstance(n, Neg):
-            return 3
-        if isinstance(n, Pow):
-            return 4
-        return 5
-
     def wrap(n, level):
         s = pretty(n)
-        return f"({s})" if prec(n) < level else s
+        return f"({s})" if {Add: 1, Sub: 1, Mul: 2, Neg: 3, Pow: 4}.get(type(n), 5) < level else s
 
     if isinstance(node, Lit):
         v = node.value
@@ -296,31 +286,70 @@ def _var_target(name: str, d: int) -> tuple[str, int]:
     return block, axis
 
 
-MAX_EXACT_DEGREE = 64    # resource limit of the exact engine, checked before any power expands
+# resource limits of the exact engine, checked before any power expands
+MAX_EXACT_DEGREE = 64
+MAX_COEFFICIENT_BITS = 4096     # numerator or denominator of one coefficient
+MAX_EXACT_PAIRS = 10 ** 6       # term pairs of one exact product or bracket
 
 
 def degree_bound(n: Node) -> int:
     """An upper bound on the total degree of `n`, read off the AST: a sum takes
     the larger degree, a product adds, a power multiplies."""
-    if isinstance(n, (Add, Sub)):
-        return max(degree_bound(n.left), degree_bound(n.right))
-    if isinstance(n, Mul):
-        return degree_bound(n.left) + degree_bound(n.right)
-    if isinstance(n, Pow):
-        return degree_bound(n.base) * n.exponent
+    return size_bound(n, 1)[0]
+
+
+def size_bound(n: Node, nvars: int) -> tuple[int, int, int, int]:
+    """Bounds (degree, terms, numerator bits, denominator bits) of `n` lowered in `nvars`
+    variables.  Terms: a sum adds, a product multiplies, a power t^k, each capped by the
+    monomials of degree <= the degree bound.  Bits over one denominator: n1/d1 + n2/d2
+    needs max(n1 + d2, n2 + d1) + 1 and d1 + d2, a product n1 + n2 + ceil(log2 of the
+    smaller term count) and d1 + d2, a power k times its base's (at least once)."""
     if isinstance(n, Neg):
-        return degree_bound(n.arg)
-    return 1 if isinstance(n, Var) else 0
+        return size_bound(n.arg, nvars)
+    if isinstance(n, Lit):
+        return 0, 1, abs(n.value.numerator).bit_length(), n.value.denominator.bit_length()
+    if not isinstance(n, (Add, Sub, Mul, Pow)):
+        return int(isinstance(n, Var)), 1, 1, 1
+    if isinstance(n, Pow):
+        deg, t, nb, db = size_bound(n.base, nvars)
+        deg, k = deg * n.exponent, max(n.exponent, 1)
+        monomials = comb(deg + nvars, nvars)
+        # t^k is formed only while it can be the smaller (t >= 2 makes t^k >= 2^k)
+        terms = monomials if t > 1 and n.exponent >= monomials.bit_length() else t ** n.exponent
+        return deg, min(terms, monomials), k * nb + (k - 1) * (t - 1).bit_length(), k * db
+    (g1, t1, n1, d1), (g2, t2, n2, d2) = size_bound(n.left, nvars), size_bound(n.right, nvars)
+    if isinstance(n, Mul):
+        deg, terms, nb = g1 + g2, t1 * t2, n1 + n2 + (min(t1, t2) - 1).bit_length()
+    else:
+        deg, terms, nb = max(g1, g2), t1 + t2, max(n1 + d2, n2 + d1) + 1
+    return deg, min(terms, comb(deg + nvars, nvars)), nb, d1 + d2
+
+
+def exact_terms_bound(node: Node, nvars: int) -> int:
+    """The term bound of `node`, once its degree and coefficient bits are within their caps."""
+    degree, terms, *bits = size_bound(node, nvars)
+    if degree > MAX_EXACT_DEGREE:
+        raise ExprError(f"degree bound {degree} exceeds the exact engine's cap of {MAX_EXACT_DEGREE}",
+                        node.span[0])
+    if max(bits) > MAX_COEFFICIENT_BITS:
+        raise ExprError(f"coefficient bound of {max(bits)} bits exceeds the exact engine's cap "
+                        f"of {MAX_COEFFICIENT_BITS} bits", node.span[0])
+    return terms
+
+
+def check_exact_pair(a: Node, b: Node, d: int) -> None:
+    """Refuse an exact product or bracket of `a` and `b` (dimension d) before lowering either."""
+    pairs = exact_terms_bound(a, 2 * d) * exact_terms_bound(b, 2 * d)
+    if pairs > MAX_EXACT_PAIRS:
+        raise ValueError(f"term-pair estimate {pairs} exceeds the exact engine's cap of {MAX_EXACT_PAIRS}")
 
 
 def lower_poly(node: Node, d: int = 1, allow_y: bool = False,
                allow_hbar: bool = False) -> PolySymbol:
-    """Lower to an exact PolySymbol; gauss factors are rejected here, and so is a
-    degree bound above MAX_EXACT_DEGREE."""
-    if (bound := degree_bound(node)) > MAX_EXACT_DEGREE:
-        raise ExprError(f"degree bound {bound} exceeds the exact engine's cap of {MAX_EXACT_DEGREE}",
-                        node.span[0])
+    """Lower to an exact PolySymbol; gauss factors are rejected here, and so are
+    degree and coefficient-size bounds above their caps."""
     shape = Shape(d, allow_y, allow_hbar)
+    exact_terms_bound(node, shape.nvars)
 
     def go(n):
         if isinstance(n, Lit):

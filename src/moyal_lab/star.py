@@ -20,16 +20,17 @@ order j = s_1 + ... + s_d, coefficient (-i/2)^j prod_k T_k[s_k].  A phase
 factor e^{i s L_Y} (exppoly) enters the same tables through the Leibniz
 terms of (d_x + i s eta)^b (d_xi - i s y)^a.
 
-The kernel works in Python ints.  Both operands go on a common denominator,
-and (-i/2)^j / (D_A D_B) is applied once per output term.  An output key is
-one int: exponent slot i is the digit at bit width*i and the order j sits on
-top, the width being the bit length of deg A + deg B + j_max over all blocks.
-Each term is packed once and each table entry holds its key delta (s in the
-order digit), so a row's key is key_A + key_B + the deltas.  Tables are built
-on first use and live for one call.  Terms are grouped by their exponents on
-axes 0..d-2, so the prefix rows are built once per pair of groups and the
-last axis runs inside the accumulation: O(pairs x rows) integer
-multiply-adds.
+The kernel works in Python ints on the operands' numerators over their
+denominators D_A, D_B; each order's output is (-i/2)^j / (D_A D_B) times
+integer numerators, reduced once.  An output key is one int: exponent slot i
+is the digit at bit width*i and the order j sits on top, the width being the
+bit length of deg A + deg B + j_max over all blocks (the narrowest width keeps
+most keys within one machine digit of a Python int).  Each term is packed
+once and each table entry holds its key delta (s in the order digit), so a
+row's key is key_A + key_B + the deltas.  Tables are built on first use and
+live for one call.  Terms are grouped by their exponents on axes 0..d-2, so
+the prefix rows are built once per pair of groups and the last axis runs
+inside the accumulation: O(pairs x rows) integer multiply-adds.
 
 Series are represented by `HbarSeries`: a finite map {j: PolySymbol} of
 hbar-power to coefficient symbol (coefficients carry no hbar block).
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, perm
 from typing import Mapping
 
 from .crational import CRational, I, ScalarLike
@@ -60,14 +61,13 @@ class HbarSeries:
             raise ShapeError("series coefficients must not carry an hbar block")
         self.shape = shape
         clean: dict[int, PolySymbol] = {}
-        if coeffs:
-            for j, p in coeffs.items():
-                if j < 0:
-                    raise ValueError("negative hbar order")
-                if p.shape != shape:
-                    raise ShapeError("coefficient shape mismatch in series")
-                if not p.is_zero:
-                    clean[j] = p
+        for j, p in (coeffs or {}).items():
+            if j < 0:
+                raise ValueError("negative hbar order")
+            if p.shape != shape:
+                raise ShapeError("coefficient shape mismatch in series")
+            if not p.is_zero:
+                clean[j] = p
         self.coeffs = clean
 
     @classmethod
@@ -119,11 +119,7 @@ class HbarSeries:
 
     def at_hbar(self, value: ScalarLike) -> PolySymbol:
         """Collapse to a PolySymbol at an exact numeric hbar."""
-        v = CRational.coerce(value)
-        out = PolySymbol.zero(self.shape)
-        for j, p in self.coeffs.items():
-            out = out + p.scaled(v ** j)
-        return out
+        return self.as_polysymbol().at_hbar(value)
 
     def as_polysymbol(self) -> PolySymbol:
         """The same object as a single PolySymbol with an hbar block."""
@@ -189,7 +185,7 @@ def _bidifferential(A: PolySymbol, B: PolySymbol, orders, signs=(0, 0),
     """
     orders, shape, d = set(orders), A.shape, A.shape.d
     jmax, nv, ny = max(orders, default=-1), shape.nvars, (4 if shape.has_y else 2) * d
-    width = (sum(max(map(sum, p.terms), default=0) for p in (A, B)) + max(jmax, 0)).bit_length()
+    width = (sum(max(map(sum, p.num), default=0) for p in (A, B)) + max(jmax, 0)).bit_length()
     top, mask, fact = nv * width, (1 << width) - 1, [factorial(s) for s in range(jmax + 1)]
     # entries s! T[s] F / s! are integers: T[s] is one without phases, and F = jmax! clears the rest
     F = factorial(max(jmax, 0)) if any(signs) else 1
@@ -199,16 +195,14 @@ def _bidifferential(A: PolySymbol, B: PolySymbol, orders, signs=(0, 0),
         """(D, {exponents on axes 0..d-2: [(last-axis code, key, n, k)]}): sign * p is the sum
         of n i^(k + Y degree) X^e / D over the entries, k being 0 for a real and 1 for an
         imaginary part, less the Y degree, which the output restores as the phases' i."""
-        D = lcm(*(q.denominator for c in p.terms.values() for q in (c.re, c.im)))
         groups: dict = defaultdict(list)
-        for e, c in p.terms.items():
+        for e, c in p.num.items():
             key = sum(x << width * i for i, x in enumerate(e))
-            for part, q in enumerate((c.re, c.im)):
+            for part, q in enumerate(c):
                 if q:
                     groups[e[:d - 1] + e[d:2 * d - 1]].append((
-                        e[d - 1] << width | e[2 * d - 1], key,
-                        sign * q.numerator * (D // q.denominator), part - sum(e[2 * d:ny]) & 3))
-        return D, groups
+                        e[d - 1] << width | e[2 * d - 1], key, sign * q, part - sum(e[2 * d:ny]) & 3))
+        return p.den, groups
 
     def table(k, ea, eb, sa, sb):
         """[(s, key delta, entry)] on axis k for the (x, xi) exponents ea (left) and eb (right)."""
@@ -253,8 +247,8 @@ def _bidifferential(A: PolySymbol, B: PolySymbol, orders, signs=(0, 0),
         n = 3 * j + sum(e[2 * d:ny]) + bracket
         re, im = c[-n % 4] - c[(2 - n) % 4], c[(1 - n) % 4] - c[(3 - n) % 4]
         if re or im:
-            terms[j][e] = CRational(Fraction(re, base << j), Fraction(im, base << j))
-    return {j: PolySymbol._of(shape, t) for j, t in terms.items()}
+            terms[j][e] = re, im
+    return {j: PolySymbol._reduced(shape, base << j, t) for j, t in terms.items()}
 
 
 def cj_coefficient(A: PolySymbol, B: PolySymbol, j: int) -> PolySymbol:
@@ -347,8 +341,7 @@ def calibration_check(d: int = 1) -> None:
     time of the CLI.
     """
     shape = Shape(d)
-    x = PolySymbol.var(shape, "x", 0)
-    xi = PolySymbol.var(shape, "xi", 0)
+    x, xi = PolySymbol.var(shape, "x"), PolySymbol.var(shape, "xi")
     prod = moyal_product(x, xi)
     expected = HbarSeries(shape, {0: x * xi, 1: PolySymbol.const(shape, CRational(0, Fraction(1, 2)))})
     if prod != expected:

@@ -357,16 +357,12 @@ def quadratic_flow(H: PolySymbol, t: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("quadratic flow needs deg H <= 2")
 
     def affine_parts(p):
-        cx = complex(p.terms.get((1, 0), 0))
-        cxi = complex(p.terms.get((0, 1), 0))
-        c0 = complex(p.terms.get((0, 0), 0))
-        return float(cx.real), float(cxi.real), float(c0.real)
+        """The coefficients of x, xi and 1 in an affine real polynomial, as floats."""
+        return tuple(p.num.get(e, (0, 0))[0] / p.den for e in ((1, 0), (0, 1), (0, 0)))
 
-    hx = H.partial("x")
-    hxi = H.partial("xi")
-    for c in list(hx.terms.values()) + list(hxi.terms.values()):
-        if c.im != 0:
-            raise ValueError("flow requires a real Hamiltonian")
+    hx, hxi = H.partial("x"), H.partial("xi")
+    if any(im for p in (hx, hxi) for _, im in p.num.values()):
+        raise ValueError("flow requires a real Hamiltonian")
     ax, axi, a0 = affine_parts(hxi)     # d_xi H
     bx, bxi, b0 = affine_parts(hx)      # d_x H
     M = np.array([[-ax, -axi], [bx, bxi]])

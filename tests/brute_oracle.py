@@ -2,8 +2,10 @@
 
 Deliberately separate from the package: its own polynomial representation
 (dict of exponent tuples -> (re, im) Fraction pairs over the 2d phase
-variables), its own derivative code, its own multi-index enumeration.
-The engine must agree with this on frozen examples and random inputs.
+variables; `brute_cj` and `p_mul` run on integer numerators over one
+denominator per operand within a call), its own derivative code, its own
+multi-index enumeration.  The engine must agree with this on frozen
+examples and random inputs.
 
 `brute_cj_exp` is one exception: exponential test symbols have no
 representation here, so it runs the index-pair sum on the package's
@@ -72,22 +74,16 @@ def p_scale(p, re, im=Fraction(0)):
 
 
 def p_partial(p, var):
+    """d/d(variable var), on Fraction pairs and on integer numerators alike."""
     out = {}
     for e, c in p.items():
         if e[var] == 0:
             continue
         ne = e[:var] + (e[var] - 1,) + e[var + 1:]
         scaled = (c[0] * e[var], c[1] * e[var])
-        r0, i0 = out.get(ne, (Fraction(0), Fraction(0)))
+        r0, i0 = out.get(ne, (0, 0))
         out[ne] = (r0 + scaled[0], i0 + scaled[1])
     return p_clean(out)
-
-
-def mul_minus_i_pow(p, n):
-    # multiply by (-i)^n
-    for _ in range(n % 4):
-        p = p_scale(p, Fraction(0), Fraction(-1))
-    return p
 
 
 def multi_indices(d, total):
@@ -98,10 +94,14 @@ def multi_indices(d, total):
 def brute_cj(A, B, j, d):
     """C_j(A,B) straight from the definition, D = -i grad.
 
-    Derivatives are memoised within the call, keyed by the operand and the
-    order in each variable (x_1..x_d, xi_1..xi_d); each is one `p_partial`
-    of a memoised lower one.
+    The sum over index pairs runs on integer numerators: each operand goes
+    over its own denominator (`p_integer`), the pair (alpha, beta) carries the
+    integer weight (-1)^|beta| j!/(alpha! beta!), and (-i)^j / (j! 2^j D_A D_B)
+    is applied once at the end.  Derivatives are memoised within the call,
+    keyed by the operand and the order in each variable (x_1..x_d,
+    xi_1..xi_d); each is one `p_partial` of a memoised lower one.
     """
+    (da, an), (db, bn) = p_integer(A), p_integer(B)
     memo = {}
 
     def deriv(which, orders):
@@ -111,31 +111,34 @@ def brute_cj(A, B, j, d):
                 v = max(i for i, o in enumerate(orders) if o)
                 memo[key] = p_partial(deriv(which, orders[:v] + (orders[v] - 1,) + orders[v + 1:]), v)
             else:
-                memo[key] = (A, B)[which]
+                memo[key] = (an, bn)[which]
         return memo[key]
 
-    acc = p_zero()
+    acc = {}
     for alpha in multi_indices(d, j):
         for beta in multi_indices(d, j - sum(alpha)):
             if sum(alpha) + sum(beta) != j:
                 continue
-            dA = deriv(0, beta + alpha)     # d_xi^a D_x^b A, phases later
+            dA = deriv(0, beta + alpha)     # d_xi^a d_x^b A, phases at the end
             if not dA:
                 continue
             dB = deriv(1, alpha + beta)
             if not dB:
                 continue
-            dA = mul_minus_i_pow(dA, sum(beta))
-            dB = mul_minus_i_pow(dB, sum(alpha))
-            fac = Fraction(1)
-            for t in alpha:
-                fac /= factorial(t)
-            for t in beta:
-                fac /= factorial(t)
+            w = factorial(j)
+            for t in alpha + beta:
+                w //= factorial(t)
             if sum(beta) % 2:
-                fac = -fac
-            acc = p_add(acc, p_scale(p_mul(dA, dB), fac))
-    return p_scale(acc, Fraction(1, 2 ** j))
+                w = -w
+            for e1, (a, b) in dA.items():
+                for e2, (c, dd) in dB.items():
+                    e = tuple(u + v for u, v in zip(e1, e2))
+                    r0, i0 = acc.get(e, (0, 0))
+                    acc[e] = (r0 + w * (a * c - b * dd), i0 + w * (a * dd + b * c))
+    den = factorial(j) * 2 ** j * da * db
+    re_f, im_f = ((1, 0), (0, -1), (-1, 0), (0, 1))[j % 4]      # (-i)^j
+    return {e: (Fraction(re * re_f - im * im_f, den), Fraction(re * im_f + im * re_f, den))
+            for e, (re, im) in acc.items() if re or im}
 
 
 def brute_cj_exp(A, B, j):

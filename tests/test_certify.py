@@ -282,6 +282,42 @@ def test_exact_certificates_make_few_coefficient_products(monkeypatch):
     assert calls[0] < 1000
 
 
+def dense_classes(seed: int, index: int) -> list:
+    """[(d, deg, A, H)]: dense pairs in the classes (d, deg, terms) = (1,10,30) (2,5,50)
+    (2,6,90) (3,4,100), drawn as the benchmark's `exact` workload draws pass `index`."""
+    rng, pairs = random.Random(f"{seed}:exact:{index}"), []
+    for d, deg, nterms in ((1, 10, 30), (2, 5, 50), (2, 6, 90), (3, 4, 100)):
+        polys = []
+        for tag in "AH":
+            srng = random.Random(f"exact-support:{d}:{deg}:{nterms}:{tag}")
+            mons = [e for e in itertools.product(range(deg + 1), repeat=2 * d) if sum(e) <= deg]
+            top = srng.choice([e for e in mons if sum(e) == deg])
+            support = [top] + srng.sample([e for e in mons if e != top], nterms - 1)
+            polys.append(PolySymbol(Shape(d), {e: Fraction(rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)),
+                                                            rng.randint(1, 4)) for e in support}))
+        pairs.append((d, deg, *polys))
+    return pairs
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_certificate_routes_build_few_fractions(monkeypatch, k):
+    # numerators over one denominator: no Fraction per term on the collapse or series
+    # routes (7,124 to 16,958 per class here when every term was two Fractions)
+    _, _, _, H = dense_classes(7, 0)[k]
+    calls = [0]
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    exp_test_bracket(H)
+    mpc_identity_check(H)
+    monkeypatch.undo()
+    assert calls[0] < 100
+
+
 # ------------------------------------------------------ certificates
 
 def test_certificate_theorem_one_both_directions():

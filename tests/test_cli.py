@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -183,10 +184,47 @@ def test_exact_degree_beyond_the_cap_exits_before_expanding(power):
         f"moyal-lab: degree bound {2 * power} exceeds the exact engine's cap of 64 (at position 0)"]
 
 
+DENSE_D3 = "(x1+x2+x3+xi1+xi2+xi3+{})^12"      # 18,564 terms each
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["star", "--A", "2^100000000", "--B", "x"],
+     "coefficient bound of 200000000 bits exceeds the exact engine's cap of 4096 bits (at position 0)"),
+    (["star", "--d", "3", "--A", DENSE_D3.format(1), "--B", DENSE_D3.format(2)],
+     "term-pair estimate 344622096 exceeds the exact engine's cap of 1000000"),
+    (["bracket", "--d", "3", "--A", DENSE_D3.format(1), "--H", DENSE_D3.format(2), "--mode", "poisson"],
+     "term-pair estimate 344622096 exceeds the exact engine's cap of 1000000"),
+], ids=["literal-power", "star-pairs", "bracket-pairs"])
+def test_exact_size_caps_exit_before_expanding(capsys, argv, message):
+    # coefficient bits and term pairs are read off the expressions; nothing is lowered
+    start = time.perf_counter()
+    assert cli.main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [f"moyal-lab: {message}"]
+
+
+THREAD_VARS = ("MOYAL_LAB_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_numeric_output_does_not_depend_on_the_thread_setting():
+    # with MOYAL_LAB_THREADS unset the numeric backends run on one thread, as with 1
+    argv = CLI + ["egorov", "--A", "x*gauss(1/4)", "--H", "1/2*x^2 + 1/2*xi^2", "--t", "0.7854"]
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    unset = subprocess.run(argv, capture_output=True, text=True, env=env)
+    one = subprocess.run(argv, capture_output=True, text=True, env={**env, "MOYAL_LAB_THREADS": "1"})
+    assert unset.returncode == one.returncode == 0
+    assert unset.stdout == one.stdout and unset.stdout
+
+
 def test_exact_degree_cap_admits_degree_forty(capsys):
     assert cli.main(["star", "--A", "(x+xi)^40", "--B", "x*xi"]) == 0
     out, err = capsys.readouterr()
     assert err == "" and json.loads(out)["result"]["orders"] == [0, 1, 2]
+    # 861 x 861 estimated term pairs (41 x 41 actual), under the pair cap
+    assert cli.main(["star", "--A", "(x+xi)^40", "--B", "(x+2*xi)^40"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["result"]["orders"] == list(range(41))
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from moyal_lab.exprparse import (MAX_EXACT_DEGREE, ExprError, degree_bound, lower_evaluator,
-                                 lower_poly, parse_symbol, pretty)
+from moyal_lab.exprparse import (MAX_COEFFICIENT_BITS, MAX_EXACT_DEGREE, MAX_EXACT_PAIRS, ExprError,
+                                 check_exact_pair, degree_bound, lower_evaluator, lower_poly,
+                                 parse_symbol, pretty, size_bound)
 from moyal_lab.polysym import PhasePoint, PolySymbol, Shape
 
 
@@ -145,3 +146,38 @@ def test_lower_poly_rejects_a_degree_bound_above_the_cap():
     lower_poly(parse_symbol(f"x^{MAX_EXACT_DEGREE}"))
     with pytest.raises(ExprError, match=f"degree bound {MAX_EXACT_DEGREE + 1} exceeds"):
         lower_poly(parse_symbol(f"x^{MAX_EXACT_DEGREE}*xi"))
+
+
+@pytest.mark.parametrize("text", [
+    "3/2", "x", "-x*xi + 7/3", "(x + xi^2)^3", "(x - x)^5", "(2/3*x - 5/7*xi + 1/2)^9",
+    "(x + 2*xi)^12*(x - 1/3)^4", "(3*x + 4/5)^0", "x1*(x2 - 3/4*xi1)^5 + (xi2 + 1)^3",
+])
+def test_size_bound_covers_the_lowered_polynomial(text):
+    d = 2 if "x1" in text else 1
+    node = parse_symbol(text)
+    degree, terms, num_bits, den_bits = size_bound(node, 2 * d)
+    p = lower_poly(node, d=d)
+    assert p.degree() <= degree and len(p.num) <= terms
+    assert p.den.bit_length() <= den_bits
+    assert max((abs(v).bit_length() for c in p.num.values() for v in c), default=0) <= num_bits
+
+
+def test_size_bound_counts_terms_and_monomials():
+    # a power takes the smaller of t^k and the monomials of its degree; a product multiplies
+    assert size_bound(parse_symbol("(x + xi)^40"), 2)[1] == 861
+    assert size_bound(parse_symbol("(x + xi)^3"), 2)[1] == 8
+    assert size_bound(parse_symbol("(x + xi + 1)*(x - 1)"), 2)[1] == 6
+    assert size_bound(parse_symbol("(x1+x2+x3+xi1+xi2+xi3+1)^12"), 6)[1] == 18564
+
+
+def test_lower_poly_rejects_a_coefficient_bound_above_the_cap():
+    lower_poly(parse_symbol("2^2047*x"))
+    with pytest.raises(ExprError, match=f"coefficient bound of 4100 bits exceeds the exact engine's "
+                                        f"cap of {MAX_COEFFICIENT_BITS} bits"):
+        lower_poly(parse_symbol("(3/2)^2050"))
+
+
+def test_check_exact_pair_reads_both_operands():
+    check_exact_pair(parse_symbol("(x + xi)^40"), parse_symbol("(x + 2*xi)^40"), 1)
+    with pytest.raises(ValueError, match=f"term-pair estimate .* cap of {MAX_EXACT_PAIRS}"):
+        check_exact_pair(parse_symbol("(x1 + xi1 + x2 + xi2 + 1)^20"), parse_symbol("(x1 + 1)^20"), 2)

@@ -1,12 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from moyal_lab.crational import CRational, I
 from moyal_lab.polysym import (PhasePoint, PolySymbol, Shape, ShapeError,
                                linear_form, linear_form_symbolic,
                                poisson_bracket, symplectic_form)
+
+from brute_oracle import p_add, p_mul, p_partial, p_scale
+from test_properties import complex_rationals, polys
 
 
 def vars1():
@@ -267,3 +273,86 @@ def test_at_hbar_matches_termwise_powers():
             expected = expected + PolySymbol.monomial(flat, e[:-1], c * CRational.coerce(v) ** e[-1])
         assert p.at_hbar(v) == expected
     assert p.at_hbar(0) == PolySymbol(flat, {e[:-1]: c for e, c in p.terms.items() if not e[-1]})
+
+
+# ---------------------------------------------------------------- numerators over one denominator
+
+def model(p):
+    """p in the oracle's dict model {exponents: (re, im)}."""
+    return {e: (c.re, c.im) for e, c in p.terms.items()}
+
+
+def model_translated(a, shifts, d):
+    """a(X + s) for constant shifts s, by expanding each (x_k + s_k)^n with p_mul."""
+    out = {}
+    for e, c in a.items():
+        piece = {(0,) * len(e): c}
+        for k, s in enumerate(shifts):
+            unit = tuple(int(i == k) for i in range(len(e)))
+            image = p_add({unit: (Fraction(1), Fraction(0))}, {(0,) * len(e): (s.re, s.im)})
+            for _ in range(e[k]):
+                piece = p_mul(piece, image)
+        out = p_add(out, piece)
+    return out
+
+
+def assert_canonical(p):
+    assert p.den > 0 and all(re or im for re, im in p.num.values())
+    assert gcd(p.den, *chain.from_iterable(p.num.values())) == 1
+    assert all(type(v) is int for c in p.num.values() for v in c) and type(p.den) is int
+
+
+@st.composite
+def numerator_cases(draw):
+    """(A, B, scalar, x orders, xi orders, shifts): d in {1, 2}, an hbar block."""
+    d = draw(st.integers(1, 2))
+    shape = Shape(d, False, True)
+    A, B = (draw(polys(shape, 4, max_terms=5, extra=2)) for _ in range(2))
+    orders = st.lists(st.integers(0, 2), min_size=d, max_size=d)
+    return A, B, draw(complex_rationals), draw(orders), draw(orders), \
+        [draw(complex_rationals) for _ in range(2 * d)]
+
+
+@given(numerator_cases())
+def test_numerator_ops_match_the_dict_model(case):
+    A, B, c, x, xi, shifts = case
+    a, b, d, shape = model(A), model(B), A.shape.d, A.shape
+    derived = a
+    for slot, order in enumerate(list(x) + list(xi)):
+        for _ in range(order):
+            derived = p_partial(derived, slot)
+    at_c = {}
+    for e, v in a.items():
+        w = c ** e[-1]
+        at_c = p_add(at_c, p_scale({e[:-1]: v}, w.re, w.im))
+    moved = A.translated([PolySymbol.const(shape, s) for s in shifts])
+    results = [(A + B, p_add(a, b)), (A - B, p_add(a, p_scale(b, -1))), (-A, p_scale(a, -1)),
+               (A.scaled(c), p_scale(a, c.re, c.im)), (A * B, p_mul(a, b)),
+               (A.conjugate(), {e: (re, -im) for e, (re, im) in a.items()}),
+               (A.partial_multi(x=x, xi=xi), derived), (A.at_hbar(c), at_c),
+               (moved, model_translated(a, shifts + [CRational(0)], d))]
+    results += [(A.homogeneous_part(k), {e: v for e, v in a.items() if sum(e[:2 * d]) == k})
+                for k in range(5)]
+    for p, expected in results:
+        assert model(p) == expected
+        assert_canonical(p)
+
+
+def test_canonical_form_after_cancellation():
+    x, xi = vars1()
+    half = Fraction(1, 2)
+    p = x.scaled(half) + xi.scaled(Fraction(1, 6))
+    assert (p.den, p.num) == (6, {(1, 0): (3, 0), (0, 1): (1, 0)})
+    zero = p - p
+    assert zero == PolySymbol.zero(Shape(1)) and (zero.den, zero.num) == (1, {})
+    const = (p + PolySymbol.const(Shape(1), Fraction(3, 4))) - p
+    assert const == PolySymbol.const(Shape(1), Fraction(3, 4)) and const.den == 4
+    # 1/2 + 1/2 is 1 over 1, not 2 over 2; a common factor of 2 leaves every numerator
+    one = PolySymbol.const(Shape(1), half) + PolySymbol.const(Shape(1), half)
+    assert (one.den, one.num) == (1, {(0, 0): (1, 0)})
+    q = (x + xi).scaled(Fraction(2, 3)) * (x - xi).scaled(Fraction(3, 4))
+    assert q == (x ** 2 - xi ** 2).scaled(half) and q.den == 2
+    for r in (p, zero, const, one, q, q.scaled(CRational(0, Fraction(2, 5))), q.at_hbar(3)):
+        assert_canonical(r)
+    with pytest.raises(AttributeError):
+        p.terms = {}
