@@ -4,9 +4,9 @@ Subcommands: star, bracket, gvh, mpc, remainder, quantize, egorov,
 coherent.  Outputs are deterministic (sorted keys, exact rationals as
 "p/q" strings, shortest round-trip floats); every JSON payload carries the
 calibrated conventions table.  Exit codes: 0 success, 1 parse/config
-error or out of memory, 2 numeric tolerance or floating-point failure,
-3 internal invariant failure or any other error; every failure prints one
-"moyal-lab: ..." line to stderr.
+error or out of memory, 2 numeric tolerance, floating-point failure or a
+number too large for a float, 3 internal invariant failure or any other
+error; every failure prints one "moyal-lab: ..." line to stderr.
 
 The environment variable MOYAL_LAB_THREADS sets the worker threads of the
 numeric backends, 1 when unset, so that output does not depend on the
@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from .conventions import CONVENTIONS
 from .crational import CRational
-from .exprparse import ExprError, check_exact_pair, lower_poly, parse_symbol, pretty
+from .exprparse import (ExprError, check_exact_pair, check_exact_rows, lower_poly, parse_symbol,
+                        pretty)
 from .polysym import PolySymbol
 from .star import ConventionError, HbarSeries, calibration_check
 
@@ -97,10 +98,13 @@ def _poly_arg(text: str, d: int) -> PolySymbol:
 
 
 def _poly_pair(a: str, b: str, d: int) -> tuple[PolySymbol, PolySymbol]:
-    """Both operands of an exact product or bracket, refused before lowering if too large."""
+    """Both operands of an exact product or bracket, refused before lowering if too large,
+    and after lowering if their kernel work is."""
     na, nb = parse_symbol(a), parse_symbol(b)
     check_exact_pair(na, nb, d)
-    return lower_poly(na, d=d), lower_poly(nb, d=d)
+    A, B = lower_poly(na, d=d), lower_poly(nb, d=d)
+    check_exact_rows(A, B)
+    return A, B
 
 
 def _eval_arg(text: str):
@@ -128,10 +132,11 @@ def cmd_star(args) -> int:
                    "A": pretty(parse_symbol(args.A)), "B": pretty(parse_symbol(args.B)),
                    "result": series_json(prod)}, args)
         return EXIT_OK
-    from .grid import GridSpec, sample, star_grid
+    from .grid import GridSpec, check_grid_bytes, sample, star_grid
     from .gridio import save_grid_symbol
 
     spec = GridSpec(args.N, args.L, args.hbar)
+    check_grid_bytes(spec.n)
     GA = sample(_eval_arg(args.A), spec)
     GB = sample(_eval_arg(args.B), spec)
     S = star_grid(GA, GB)
@@ -206,9 +211,10 @@ def cmd_mpc(args) -> int:
 
 
 def cmd_remainder(args) -> int:
-    from .grid import GridSpec, remainder_scaling_scan
+    from .grid import GridSpec, check_grid_bytes, remainder_scaling_scan
 
     spec = GridSpec(args.N, args.L, args.hbars_list[0])
+    check_grid_bytes(spec.n)
     res = remainder_scaling_scan(_eval_arg(args.A), _eval_arg(args.B),
                                  args.orders_list, args.hbars_list, spec)
     if args.format == "csv":
@@ -444,7 +450,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_CONFIG, str(exc))
     except MemoryError as exc:
         return _fail(EXIT_CONFIG, f"out of memory: {str(exc) or type(exc).__name__}")
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:
         return _fail(EXIT_TOLERANCE, f"floating-point failure: {exc}")
     except ConventionError as exc:
         return _fail(EXIT_INTERNAL, f"internal invariant failure: {exc}")

@@ -290,6 +290,7 @@ def _var_target(name: str, d: int) -> tuple[str, int]:
 MAX_EXACT_DEGREE = 64
 MAX_COEFFICIENT_BITS = 4096     # numerator or denominator of one coefficient
 MAX_EXACT_PAIRS = 10 ** 6       # term pairs of one exact product or bracket
+MAX_EXACT_PAIR_ROWS = 2 * 10 ** 6   # lowered term pairs x series orders; about 3 us each in d = 1
 
 
 def degree_bound(n: Node) -> int:
@@ -344,6 +345,14 @@ def check_exact_pair(a: Node, b: Node, d: int) -> None:
         raise ValueError(f"term-pair estimate {pairs} exceeds the exact engine's cap of {MAX_EXACT_PAIRS}")
 
 
+def check_exact_rows(A: PolySymbol, B: PolySymbol) -> None:
+    """Refuse the lowered operands of an exact product or bracket when their term pairs,
+    times the min(deg A, deg B) + 1 orders each pair can reach, exceed the cap."""
+    rows = len(A.num) * len(B.num) * (min(A.degree(), B.degree()) + 1)
+    if rows > MAX_EXACT_PAIR_ROWS:
+        raise ValueError(f"pair-row estimate {rows} exceeds the exact engine's cap of {MAX_EXACT_PAIR_ROWS}")
+
+
 def lower_poly(node: Node, d: int = 1, allow_y: bool = False,
                allow_hbar: bool = False) -> PolySymbol:
     """Lower to an exact PolySymbol; gauss factors are rejected here, and so are
@@ -385,10 +394,13 @@ def lower_evaluator(node: Node):
 
     The expression lowers exactly to {gauss rate or None: PolySymbol}, so
     like terms merge and the evaluator has one atom per distinct rate.
+    Degree and coefficient-size bounds above the exact caps are refused
+    before any power expands.
     """
     from .evaluators import SymbolEvaluator
 
     shape = Shape(1)
+    exact_terms_bound(node, shape.nvars)
 
     def plus(f, g):
         out = dict(f)

@@ -9,8 +9,9 @@ each other:
       e^{i k.X} * B = e^{i k.X} B(x + hbar k_xi / 2, xi - hbar k_x / 2),
   the fractional translations applied as Fourier phase ramps (exact on
   band-limited periodic data).  The mode sum is factorized by axis, so the
-  time is O(N^3 log N) rather than the naive O(N^4 log N), and it runs in
-  blocks of four x-modes, so the memory is O(N^2).
+  time is O(N^3 log N) rather than the naive O(N^4 log N), and it runs
+  one x-mode at a time through three reused N x N buffers, so the memory
+  is O(N^2).
 
 * `star_quadrature_point` discretizes the integral form
       (A*B)(X) = (pi hbar)^{-2} II e^{-(2i/hbar) sigma(u,v)} A(X+u) B(X+v) du dv
@@ -32,7 +33,7 @@ from .evaluators import SymbolEvaluator
 
 BOUNDARY_DECAY = 1e-12
 ORACLE_TOL = 1e-6
-MODE_BLOCK = 4          # x-modes per block of star_grid; divides every GridSpec.n
+RUN_BYTES_CAP = 4 << 30  # largest estimated peak of a grid or operator run; admits every N <= 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,38 +120,55 @@ def sample(f: SymbolEvaluator, spec: GridSpec) -> GridSymbol:
     return GridSymbol(spec, vals)
 
 
+def check_grid_bytes(n: int) -> int:
+    """Peak bytes of a `star --mode grid` or `remainder` run at N = n; ValueError above the cap.
+
+    The peak is star_grid beside both samples: 8 complex N x N arrays of its
+    own (C, FB, phase, E, out and three work buffers) and 2 samples, plus 1
+    array of transients and 1 MiB of fixed-size state.  Sampling (the
+    meshes and about 5 arrays of evaluator transients beside one sample)
+    and the remainder series (the product, its partial sum and one C_j
+    with its spectral derivatives, beside both samples) stay below it.
+    """
+    need = 16 * n * n * 11 + (1 << 20)
+    if need > RUN_BYTES_CAP:
+        raise ValueError(f"N = {n} needs about {need / 2 ** 30:.1f} GiB, above the "
+                         f"{RUN_BYTES_CAP >> 30} GiB cap of a grid run")
+    return need
+
+
 def star_grid(A: GridSymbol, B: GridSymbol) -> GridSymbol:
     """A * B by the factorized mode-shift sum (deterministic reduction).
 
     Time O(N^3 log N), memory O(N^2): the sum over the left factor's
-    x-modes m runs in blocks of `MODE_BLOCK`, so no temporary is larger
-    than MODE_BLOCK x N x N.  Each mode is added on its own, in m order:
-    that keeps the rounding of the one-batch sum, which summing block
-    partials or an in-place `+=` does not.
+    x-modes m runs one mode at a time through three N x N work buffers.
+    Each mode is added in place, in m order, which rounds as the one-batch
+    sum does (summing partials of several modes would not), and N is a
+    power of two, so norm="forward" scales exactly as / N and * N would.
     """
     spec = _check_specs(A, B)
     n = spec.n
-    hbar = spec.hbar
     om = spec.omega()
 
     C = np.fft.fft2(A.samples) / (n * n)              # index-space mode coefficients
-    half = 0.5 * hbar * om
+    half = 0.5 * spec.hbar * om
     FB = np.fft.fft(B.samples, axis=1)
-    phase = np.exp(1j * om[None, :, None] * half[None, None, :])  # [1, p, n]
+    phase = np.exp(1j * om[:, None] * half[None, :])  # [p, n]
     E = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)  # [m, a]
     out = np.zeros((n, n), dtype=complex)
-    for m0 in range(0, n, MODE_BLOCK):
-        block = slice(m0, m0 + MODE_BLOCK)
-        # Bs[m, a, b] = B(x_a, xi_b - hbar om_m / 2)
-        ramp = np.exp(-1j * om[None, None, :] * half[block, None, None])
-        Bs = np.fft.ifft(FB[None, :, :] * ramp, axis=2)
-        # Bp[m, p, b]: x-mode coefficients of Bs
-        Bp = np.fft.fft(Bs, axis=1) / n
-        # W[m, p, b] = sum_n C[m, n] e^{i hbar om_p om_n / 2} e^{2 pi i n b / N}
-        W = np.fft.ifft(C[block, None, :] * phase, axis=2) * n
-        T = np.fft.ifft(Bp * W, axis=1) * n           # T[m, a, b]
-        for i in range(MODE_BLOCK):
-            out = out + np.einsum("a,ab->ab", E[m0 + i], T[i])
+    U, V, T = (np.empty((n, n), dtype=complex) for _ in range(3))
+    for m in range(n):
+        # Bs[a, b] = B(x_a, xi_b - hbar om_m / 2), then Bp[p, b]: its x-mode coefficients
+        np.multiply(FB, np.exp(-1j * om * half[m]), out=U)
+        np.fft.ifft(U, axis=1, out=V)
+        np.fft.fft(V, axis=0, norm="forward", out=U)
+        # W[p, b] = sum_n C[m, n] e^{i hbar om_p om_n / 2} e^{2 pi i n b / N}
+        np.multiply(C[m], phase, out=V)
+        np.fft.ifft(V, axis=1, norm="forward", out=T)
+        np.multiply(U, T, out=V)
+        np.fft.ifft(V, axis=0, norm="forward", out=T)   # T[a, b]
+        np.einsum("a,ab->ab", E[m], T, out=U)
+        np.add(out, U, out=out)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("star product produced non-finite values")
     return GridSymbol(spec, out)
@@ -243,16 +261,10 @@ def remainder_scaling_scan(A: SymbolEvaluator, B: SymbolEvaluator,
     slopes = {}
     sups: dict[int, list[tuple[float, float]]] = {o: [] for o in orders}
     for h in hbars:
-        sp = GridSpec(spec.n, spec.box, h)
-        GA, GB = sample(A, sp), sample(B, sp)
-        prod = star_grid(GA, GB).samples
-        mask = sp.interior_mask()
-        cjs = [cj_grid(GA, GB, j).samples for j in range(max(orders) + 1)]
+        by_order = _remainder_sups(A, B, max(orders), h, GridSpec(spec.n, spec.box, h))
         for order in orders:
-            partial_sum = sum(h ** j * cjs[j] for j in range(order + 1))
-            sup = float(np.max(np.abs((prod - partial_sum)[mask])))
-            rows.append((order, float(h), sup))
-            sups[order].append((float(h), sup))
+            rows.append((order, float(h), by_order[order]))
+            sups[order].append((float(h), by_order[order]))
     for order in orders:
         pts = [(h, s) for h, s in sups[order] if s > 1e-12]
         if len(pts) < 2:
@@ -262,6 +274,24 @@ def remainder_scaling_scan(A: SymbolEvaluator, B: SymbolEvaluator,
             ls = np.log([p[1] for p in pts])
             slopes[order] = float(np.polyfit(lh, ls, 1)[0])
     return {"rows": rows, "slopes": slopes}
+
+
+def _remainder_sups(A: SymbolEvaluator, B: SymbolEvaluator, top: int, h,
+                    sp: GridSpec) -> list[float]:
+    """Interior sup-norms of A*B - sum_{j <= order} h^j C_j for order = 0..top.
+
+    The partial sum is carried from one order to the next, so one C_j is
+    alive at a time; its additions run in j order, as a fresh sum would.
+    """
+    GA, GB = sample(A, sp), sample(B, sp)
+    prod = star_grid(GA, GB).samples
+    mask = sp.interior_mask()
+    partial_sum = 0
+    out = []
+    for j in range(top + 1):
+        partial_sum = partial_sum + h ** j * cj_grid(GA, GB, j).samples
+        out.append(float(np.max(np.abs((prod - partial_sum)[mask]))))
+    return out
 
 
 def symplectic_fourier(A: GridSymbol) -> GridSymbol:

@@ -35,12 +35,11 @@ from math import pi
 import numpy as np
 
 from .evaluators import SymbolEvaluator
-from .grid import GridSpec, GridSymbol, sample, symplectic_fourier
+from .grid import RUN_BYTES_CAP, GridSpec, GridSymbol, sample, symplectic_fourier
 from .polysym import PolySymbol
 
 NYQUIST_TAIL = 1e-8
 ROW_BLOCK = 64          # midpoint rows per block of quantize_kernel
-RUN_BYTES_CAP = 4 << 30  # largest estimated peak of an operator run; admits every Nx <= 4096
 
 XGrid = GridSpec
 

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import moyal_lab.grid
 from moyal_lab import cli
@@ -202,6 +206,98 @@ def test_exact_size_caps_exit_before_expanding(capsys, argv, message):
     assert time.perf_counter() - start < 1.0
     out, err = capsys.readouterr()
     assert out == "" and err.splitlines() == [f"moyal-lab: {message}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["star", "--A", "(x+xi+1)^40", "--B", "(x+xi+2)^40"],
+    ["bracket", "--A", "(x+xi+1)^40", "--H", "(x+xi+2)^40", "--mode", "moyal"],
+], ids=lambda argv: argv[0])
+def test_exact_pair_rows_beyond_the_cap_exit_after_lowering(capsys, argv):
+    # 861 x 861 terms pass the pair cap, but each pair reaches 41 orders
+    start = time.perf_counter()
+    assert cli.main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        "moyal-lab: pair-row estimate 30394161 exceeds the exact engine's cap of 2000000"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["star", "--mode", "grid", "--A", "2^100000000*gauss(1)", "--B", "gauss(1)", "--N", "16"],
+     "coefficient bound of 200000001 bits exceeds the exact engine's cap of 4096 bits (at position 0)"),
+    (["quantize", "--A", "x^100*gauss(1)", "--Nx", "16"],
+     "degree bound 100 exceeds the exact engine's cap of 64 (at position 0)"),
+], ids=["star-grid", "quantize"])
+def test_grid_lowering_caps_exit_before_expanding(capsys, argv, message):
+    # numeric symbols lower exactly, so the exact caps bound them before any power expands
+    start = time.perf_counter()
+    assert cli.main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [f"moyal-lab: {message}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["star", "--mode", "grid", "--A", "gauss(1)", "--B", "gauss(1)", "--N", "8192"],
+    ["remainder", "--A", "gauss(1)", "--B", "gauss(1)", "--orders", "1", "--hbars", "0.5",
+     "--N", "8192"],
+], ids=lambda argv: argv[0])
+def test_grid_runs_beyond_the_memory_cap_exit_before_sampling(argv):
+    start = time.perf_counter()
+    out = run_cli(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.splitlines() == [
+        "moyal-lab: N = 8192 needs about 11.0 GiB, above the 4 GiB cap of a grid run"]
+
+
+# boundary-quiet on [-8, 8) (a warning would add lines to stderr), and inputs the caps refuse
+# or whose numbers do not fit a float
+QUIET_SYMBOLS = ["gauss(1)", "x*gauss(2)", "xi^2*gauss(1) - 1/3*gauss(3)", "(x + xi)^3*gauss(1)"]
+HUGE_SYMBOLS = ([f"x^{k}*gauss(1)" for k in (65, 3000, 10 ** 8)]
+                + [f"(x + xi)^{k}*gauss(1)" for k in (65, 10 ** 8)]
+                + [f"2^{k}*gauss(1)" for k in (2000, 4097, 10 ** 8)]
+                + [f"1{'0' * k}*gauss(1)" for k in (2000, 5000)]
+                + [f"gauss({'9' * 400})"])
+BAD_VALUES = {"N": [0, -16, 48, 100, 1 << 20], "L": ["nan", "inf", "0", "-8"],
+              "hbar": ["nan", "inf", "0", "-1"],
+              "hbars": ["", ",", "-0.5", "0.5,-0.25", "nan,0.5", "inf"],
+              "orders": ["", ",", "-1", "1,-2"]}
+
+
+@st.composite
+def grid_argv(draw):
+    """A `star --mode grid` or `remainder` argv: valid numbers (N <= 64) with at most one
+    field replaced by a malformed value, and quiet or huge symbols."""
+    symbols = st.one_of(st.sampled_from(QUIET_SYMBOLS), st.sampled_from(HUGE_SYMBOLS))
+    cmd = draw(st.sampled_from(["star", "remainder"]))
+    fields = {"A": draw(symbols), "B": draw(symbols), "N": draw(st.sampled_from([16, 32, 64])),
+              "L": "8"}
+    if cmd == "star":
+        fields.update(mode="grid", hbar=draw(st.sampled_from(["1", "0.5"])))
+    else:
+        fields.update(hbars="0.5,0.25", orders=draw(st.sampled_from(["1,2", "0"])),
+                      format=draw(st.sampled_from(["json", "csv"])))
+    bad = draw(st.one_of(st.none(), st.sampled_from([f for f in BAD_VALUES if f in fields])))
+    if bad:
+        fields[bad] = draw(st.sampled_from(BAD_VALUES[bad]))
+    return [cmd] + [f"--{k}={v}" for k, v in fields.items()]
+
+
+@given(grid_argv())
+def test_grid_argv_fuzz(argv):
+    # every grid invocation ends in a documented code with at most one stderr line
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    assert time.perf_counter() - start < 5.0
+    assert rc in (0, 1, 2, 3)
+    assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
+    assert not caught
+    assert (rc == 0) == bool(out.getvalue())
 
 
 THREAD_VARS = ("MOYAL_LAB_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from moyal_lab.evaluators import SymbolEvaluator, window
-from moyal_lab.grid import (GridSpec, GridSymbol, _check_specs, cj_grid, moyal_bracket_grid,
-                            poisson_bracket_grid, remainder_grid,
+from moyal_lab.grid import (RUN_BYTES_CAP, GridSpec, GridSymbol, _check_specs, check_grid_bytes,
+                            cj_grid, moyal_bracket_grid, poisson_bracket_grid, remainder_grid,
                             remainder_scaling_scan, sample, star_grid,
                             star_quadrature_point, symplectic_fourier)
 from moyal_lab.gridio import load_grid_symbol, save_grid_symbol
@@ -91,9 +91,10 @@ def star_grid_reference(A: GridSymbol, B: GridSymbol) -> GridSymbol:
     return GridSymbol(spec, out)
 
 
-@pytest.mark.parametrize("n", [64, 128])
-@pytest.mark.parametrize("hbar, box", [(0.7, 8.0), (0.35, 6.0)])
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+@pytest.mark.parametrize("hbar, box", [(0.7, 8.0), (0.35, 6.0), (2.0, 4.0)])
 def test_star_grid_blocks_bit_identical_to_reference(n, hbar, box):
+    # hbar = 2 on [-4, 4): the phase hbar om_p om_n / 2 wraps up to pi N^2 / 128 turns
     # the reference is not run at N = 256: it allocates 1.3 GB
     spec = GridSpec(n, box, hbar)
     rng = np.random.default_rng(n)
@@ -121,6 +122,40 @@ def test_star_grid_memory_is_quadratic():
     finally:
         tracemalloc.stop()
     assert peak < 100e6
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_star_grid_peak_is_a_few_arrays():
+    # C, FB, phase, E, out and three work buffers: about 8 complex N x N arrays
+    n = 256
+    spec = GridSpec(n, 8.0, 0.7)
+    GA = quiet_sample(SymbolEvaluator.gauss(1.0), spec)
+    GB = quiet_sample(SymbolEvaluator.gauss(0.5, center=(0.3, -0.2)), spec)
+    assert traced_peak(lambda: star_grid(GA, GB)) <= 12 * 16 * n * n
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_grid_run_estimate_bounds_the_traced_peak(n):
+    A = SymbolEvaluator.gauss(1.0)
+    B = SymbolEvaluator.polynomial({(1, 0): 1.0}) * SymbolEvaluator.gauss(1.0)
+    spec = GridSpec(n, 8.0, 0.5)
+    need = check_grid_bytes(n)
+    assert traced_peak(lambda: star_grid(quiet_sample(A, spec), quiet_sample(B, spec))) <= need
+    assert traced_peak(lambda: remainder_scaling_scan(A, B, [1, 2], [0.5, 0.25], spec)) <= need
+
+
+def test_grid_run_estimate_refuses_above_the_cap():
+    assert check_grid_bytes(4096) <= RUN_BYTES_CAP
+    with pytest.raises(ValueError, match="N = 8192 needs about 11.0 GiB"):
+        check_grid_bytes(8192)
 
 
 @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
