@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from .conventions import CONVENTIONS
 from .crational import CRational
-from .exprparse import (ExprError, check_exact_pair, check_exact_rows, lower_poly, parse_symbol,
-                        pretty)
+from .exprparse import (MAX_EXACT_DEGREE, ExprError, check_exact_pair, check_exact_rows, lower_poly,
+                        parse_symbol, pretty)
 from .polysym import PolySymbol
 from .star import ConventionError, HbarSeries, calibration_check
 
@@ -33,6 +33,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_TOLERANCE = 2
 EXIT_INTERNAL = 3
+
+# gvh prints one row per m; deg H <= 2m + 2 certifies Equal, so from this m on every H within
+# the exact degree cap gives the same row
+MAX_TRUNCATION_ORDER = MAX_EXACT_DEGREE // 2 - 1
 
 
 # ------------------------------------------------------------- serialization
@@ -152,7 +156,7 @@ def cmd_star(args) -> int:
 
 
 def cmd_bracket(args) -> int:
-    from .star import bracket_discrepancy, moyal_bracket, truncated_bracket
+    from .star import _bracket_split, moyal_bracket
     from .polysym import poisson_bracket
 
     A, H = _poly_pair(args.A, args.H, args.d)
@@ -162,8 +166,9 @@ def cmd_bracket(args) -> int:
     if args.mode in ("moyal", "both"):
         result["moyal"] = series_json(moyal_bracket(A, H))
     if args.mode == "truncated":
-        result["truncated"] = series_json(truncated_bracket(A, H, args.m))
-        result["discrepancy"] = series_json(bracket_discrepancy(A, H, args.m))
+        truncated, discrepancy = _bracket_split(A, H, args.m)
+        result["truncated"] = series_json(truncated)
+        result["discrepancy"] = series_json(discrepancy)
         result["m"] = args.m
     emit_json({"command": "bracket", "mode": args.mode, "d": args.d,
                "A": pretty(parse_symbol(args.A)), "H": pretty(parse_symbol(args.H)),
@@ -444,6 +449,9 @@ def main(argv=None) -> int:
                 raise ValueError("--orders needs at least one value")
         if getattr(args, "max_m", 0) < 0:
             raise ValueError("--max-m must be >= 0")
+        if getattr(args, "max_m", 0) > MAX_TRUNCATION_ORDER:
+            raise ValueError(f"--max-m must be at most {MAX_TRUNCATION_ORDER}: every H within the "
+                             f"degree cap of {MAX_EXACT_DEGREE} is Equal from there on")
         calibration_check(1)
         return args.func(args)
     except (ExprError, ValueError, OSError) as exc:

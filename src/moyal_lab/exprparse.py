@@ -290,7 +290,16 @@ def _var_target(name: str, d: int) -> tuple[str, int]:
 MAX_EXACT_DEGREE = 64
 MAX_COEFFICIENT_BITS = 4096     # numerator or denominator of one coefficient
 MAX_EXACT_PAIRS = 10 ** 6       # term pairs of one exact product or bracket
-MAX_EXACT_PAIR_ROWS = 2 * 10 ** 6   # lowered term pairs x series orders; about 3 us each in d = 1
+MAX_EXACT_PAIR_ROWS = 2 * 10 ** 6   # lowered term pairs x series orders; see README
+MAX_EXACT_DIMENSION = 64        # phase-space dimension d: every term carries 2d exponents
+
+
+def check_dimension(d: int) -> None:
+    """Refuse an exact symbol in fewer than 1 or more than MAX_EXACT_DIMENSION dimensions."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    if d > MAX_EXACT_DIMENSION:
+        raise ValueError(f"dimension {d} exceeds the exact engine's cap of {MAX_EXACT_DIMENSION}")
 
 
 def degree_bound(n: Node) -> int:
@@ -340,6 +349,7 @@ def exact_terms_bound(node: Node, nvars: int) -> int:
 
 def check_exact_pair(a: Node, b: Node, d: int) -> None:
     """Refuse an exact product or bracket of `a` and `b` (dimension d) before lowering either."""
+    check_dimension(d)
     pairs = exact_terms_bound(a, 2 * d) * exact_terms_bound(b, 2 * d)
     if pairs > MAX_EXACT_PAIRS:
         raise ValueError(f"term-pair estimate {pairs} exceeds the exact engine's cap of {MAX_EXACT_PAIRS}")
@@ -357,6 +367,7 @@ def lower_poly(node: Node, d: int = 1, allow_y: bool = False,
                allow_hbar: bool = False) -> PolySymbol:
     """Lower to an exact PolySymbol; gauss factors are rejected here, and so are
     degree and coefficient-size bounds above their caps."""
+    check_dimension(d)
     shape = Shape(d, allow_y, allow_hbar)
     exact_terms_bound(node, shape.nvars)
 

@@ -34,6 +34,7 @@ from .evaluators import SymbolEvaluator
 BOUNDARY_DECAY = 1e-12
 ORACLE_TOL = 1e-6
 RUN_BYTES_CAP = 4 << 30  # largest estimated peak of a grid or operator run; admits every N <= 4096
+MAX_SERIES_ORDER = 170   # the weights 1/(a! b!), a + b = j, of C_j are floats up to j = 170
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,6 +220,12 @@ def _spectral_partial(samples: np.ndarray, spec: GridSpec, axis: int, order: int
     return np.fft.ifft(np.fft.fft(samples, axis=axis) * mult.reshape(shape), axis=axis)
 
 
+def _check_series_order(j: int) -> None:
+    if j > MAX_SERIES_ORDER:
+        raise ValueError(f"series order {j} exceeds {MAX_SERIES_ORDER}, the largest whose "
+                         f"weights 1/(a! b!) are floats")
+
+
 def cj_grid(A: GridSymbol, B: GridSymbol, j: int) -> GridSymbol:
     """The j-th bidifferential coefficient by spectral differentiation.
 
@@ -227,6 +234,7 @@ def cj_grid(A: GridSymbol, B: GridSymbol, j: int) -> GridSymbol:
     spec = _check_specs(A, B)
     if j < 0:
         raise ValueError("order must be >= 0")
+    _check_series_order(j)
     from math import factorial
     acc = np.zeros_like(A.samples)
     for a in range(j + 1):
@@ -257,11 +265,13 @@ def remainder_scaling_scan(A: SymbolEvaluator, B: SymbolEvaluator,
     """
     if any(o < 0 for o in orders):
         raise ValueError(f"series orders must be >= 0, got {list(orders)}")
+    _check_series_order(max(orders, default=0))
+    specs = [GridSpec(spec.n, spec.box, h) for h in hbars]     # every hbar checked before sampling
     rows = []
     slopes = {}
     sups: dict[int, list[tuple[float, float]]] = {o: [] for o in orders}
-    for h in hbars:
-        by_order = _remainder_sups(A, B, max(orders), h, GridSpec(spec.n, spec.box, h))
+    for h, sp in zip(hbars, specs):
+        by_order = _remainder_sups(A, B, max(orders), h, sp)
         for order in orders:
             rows.append((order, float(h), by_order[order]))
             sups[order].append((float(h), by_order[order]))

@@ -198,7 +198,13 @@ DENSE_D3 = "(x1+x2+x3+xi1+xi2+xi3+{})^12"      # 18,564 terms each
      "term-pair estimate 344622096 exceeds the exact engine's cap of 1000000"),
     (["bracket", "--d", "3", "--A", DENSE_D3.format(1), "--H", DENSE_D3.format(2), "--mode", "poisson"],
      "term-pair estimate 344622096 exceeds the exact engine's cap of 1000000"),
-], ids=["literal-power", "star-pairs", "bracket-pairs"])
+    (["star", "--d", "1000000000", "--A", "x1", "--B", "xi1"],
+     "dimension 1000000000 exceeds the exact engine's cap of 64"),
+    (["mpc", "--d", "65", "--H", "x1^3"], "dimension 65 exceeds the exact engine's cap of 64"),
+    (["star", "--d", "-1", "--A", "x^2", "--B", "xi"], "dimension must be >= 1, got -1"),
+    (["gvh", "--H", "x^3", "--max-m", "1000000000"], "--max-m must be at most 31: every H within the degree cap of 64 is Equal from there on"),
+], ids=["literal-power", "star-pairs", "bracket-pairs", "star-dimension", "mpc-dimension",
+        "negative-dimension", "gvh-max-m"])
 def test_exact_size_caps_exit_before_expanding(capsys, argv, message):
     # coefficient bits and term pairs are read off the expressions; nothing is lowered
     start = time.perf_counter()
@@ -251,6 +257,48 @@ def test_grid_runs_beyond_the_memory_cap_exit_before_sampling(argv):
         "moyal-lab: N = 8192 needs about 11.0 GiB, above the 4 GiB cap of a grid run"]
 
 
+def _sample_calls(monkeypatch) -> list:
+    """Record every grid sampling the CLI makes from here on."""
+    calls, sample = [], moyal_lab.grid.sample
+    monkeypatch.setattr(moyal_lab.grid, "sample", lambda *a: calls.append(a) or sample(*a))
+    return calls
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--orders", "1", "--hbars", "0.5,-1"], "box half-length and hbar must be finite and positive"),
+    (["--orders", "1,171", "--hbars", "0.5"],
+     "series order 171 exceeds 170, the largest whose weights 1/(a! b!) are floats"),
+], ids=["second-hbar", "order-171"])
+def test_remainder_checks_hbars_and_orders_before_sampling(monkeypatch, capsys, argv, message):
+    calls = _sample_calls(monkeypatch)
+    argv = ["remainder", "--A", "gauss(1)", "--B", "gauss(1)", "--N", "256"] + argv
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [f"moyal-lab: {message}"] and calls == []
+
+
+def test_bracket_truncated_computes_the_bracket_once(monkeypatch, capsys):
+    from moyal_lab.star import bracket_discrepancy, truncated_bracket
+
+    star_module = sys.modules["moyal_lab.star"]     # the package's `star` is the function
+    A, H = "xi^5 - 1/2*x^3*xi^2", "x^5 + 2*x*xi^3"
+    pa, ph = (cli.lower_poly(cli.parse_symbol(t)) for t in (A, H))
+    counted, bracket = [], star_module.moyal_bracket
+    monkeypatch.setattr(star_module, "moyal_bracket", lambda *a: counted.append(a) or bracket(*a))
+    assert cli.main(["bracket", "--A", A, "--H", H, "--mode", "truncated", "--m", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert counted.count((pa, ph)) == 1 and err == ""     # the other call is the calibration
+    # the same bytes as the two public functions, each computing the full bracket
+    expected = {"command": "bracket", "mode": "truncated", "d": 1,
+                "A": cli.pretty(cli.parse_symbol(A)), "H": cli.pretty(cli.parse_symbol(H)),
+                "result": {"truncated": cli.series_json(truncated_bracket(pa, ph, 1)),
+                           "discrepancy": cli.series_json(bracket_discrepancy(pa, ph, 1)),
+                           "m": 1}}
+    cli.emit_json(expected, None)
+    assert out == capsys.readouterr()[0]
+    assert json.loads(out)["result"]["discrepancy"]["orders"] == [4]
+
+
 # boundary-quiet on [-8, 8) (a warning would add lines to stderr), and inputs the caps refuse
 # or whose numbers do not fit a float
 QUIET_SYMBOLS = ["gauss(1)", "x*gauss(2)", "xi^2*gauss(1) - 1/3*gauss(3)", "(x + xi)^3*gauss(1)"]
@@ -297,6 +345,70 @@ def test_grid_argv_fuzz(argv):
     assert rc in (0, 1, 2, 3)
     assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
     assert not caught
+    assert (rc == 0) == bool(out.getvalue())
+
+
+# exact operands: malformed text, inputs the caps refuse for every subcommand, and operand
+# pairs refused by the pair caps (the cost of an admitted degree-40 dense operand in gvh or mpc
+# is not bounded yet, so generated operands stay small)
+MALFORMED_EXPRS = ["", "x +", "(x", "x^-1", "x^^2", "2/0", "gauss(1)", "eta", "hbar", "xi0", "q",
+                   "x**2", "1/2/3", ")", "1.5", "x1", "xi4"]
+REFUSED_EXPRS = (["x^65", "(x + xi)^65", "x^3000*xi^3000", "(x + 1)^100000000", "2^5000",
+                  "2^100000000", "1" + "0" * 2000, "x^99999999999999999999999"])
+REFUSED_PAIRS = [(DENSE_D3.format(1), DENSE_D3.format(2)), ("(x+xi+1)^40", "(x+xi+2)^40")]
+EXACT_BAD_VALUES = {"d": ["0", "-1", "65", "1000000000", "x", ""],
+                    "m": ["-1", "10000000000000", "one"],
+                    "max-m": ["-1", "32", "1000000000", "1.5"]}
+
+
+def exact_exprs(d: int):
+    """Sums of products of (sums of) variables and rationals to powers up to 3, in dimension d."""
+    names = ["x", "xi"] if d == 1 else [f"{b}{k}" for b in ("x", "xi") for k in range(1, d + 1)]
+    atoms = st.sampled_from(names + ["1", "2", "1/3", "5/2"])
+    factors = st.one_of(atoms, st.builds("({} - {})".format, atoms, atoms),
+                        st.builds("({} + {})".format, atoms, atoms))
+    powers = st.builds("{}^{}".format, factors, st.integers(0, 3))
+    products = st.lists(powers, min_size=1, max_size=2).map("*".join)
+    return st.lists(products, min_size=1, max_size=3).map(" - ".join)
+
+
+@st.composite
+def exact_argv(draw):
+    """A `star` (exact), `bracket`, `gvh` or `mpc` argv: generated operands in d = 1..3 or
+    malformed and refused ones, with at most one option replaced by a malformed or huge value."""
+    cmd, d = draw(st.sampled_from(["star", "bracket", "gvh", "mpc"])), draw(st.integers(1, 3))
+    operands = st.one_of(exact_exprs(d), exact_exprs(d), st.sampled_from(MALFORMED_EXPRS),
+                         st.sampled_from(REFUSED_EXPRS))
+    fields = {"d": str(d)}
+    if cmd in ("star", "bracket"):
+        pair = draw(st.one_of(st.tuples(operands, operands), st.sampled_from(REFUSED_PAIRS)))
+        fields.update(zip(("A", "B" if cmd == "star" else "H"), pair))
+        if cmd == "bracket":
+            fields.update(mode=draw(st.sampled_from(["poisson", "moyal", "truncated", "both"])),
+                          m=draw(st.sampled_from(["0", "1", "2"])))
+    else:
+        fields["H"] = draw(operands)
+        if cmd == "gvh":
+            fields["max-m"] = draw(st.sampled_from(["0", "1", "3"]))
+    bad = draw(st.one_of(st.none(), st.sampled_from([f for f in EXACT_BAD_VALUES if f in fields])))
+    if bad:
+        fields[bad] = draw(st.sampled_from(EXACT_BAD_VALUES[bad]))
+    return [cmd] + [f"--{k}={v}" for k, v in fields.items()]
+
+
+@given(exact_argv())
+def test_exact_argv_fuzz(argv):
+    # every exact invocation ends in a documented code with at most one stderr line
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:      # argparse refuses a malformed option value
+            rc = exc.code
+    assert time.perf_counter() - start < 5.0
+    assert rc in (0, 1, 2, 3)
+    assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
     assert (rc == 0) == bool(out.getvalue())
 
 

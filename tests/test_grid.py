@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import moyal_lab.grid
 from moyal_lab.evaluators import SymbolEvaluator, window
 from moyal_lab.grid import (RUN_BYTES_CAP, GridSpec, GridSymbol, _check_specs, check_grid_bytes,
                             cj_grid, moyal_bracket_grid, poisson_bracket_grid, remainder_grid,
@@ -239,6 +240,15 @@ def test_cj_grid_values():
     # spectral C_1 agrees with the spectral Poisson bracket route
     pb = poisson_bracket_grid(GA, GB)
     assert np.max(np.abs(C1.samples + 0.5j * pb.samples)) < 1e-10
+
+
+def test_cj_grid_refuses_orders_beyond_the_float_range(monkeypatch):
+    # 1/(171! 0!) is not a float; the order is refused before any spectral derivative
+    spec = GridSpec(16, 8.0, 1.0)
+    G = quiet_sample(SymbolEvaluator.gauss(1.0), spec)
+    monkeypatch.setattr(moyal_lab.grid, "_spectral_partial", None)
+    with pytest.raises(ValueError, match="series order 171 exceeds 170"):
+        cj_grid(G, G, 171)
 
 
 def test_remainder_leading_order():

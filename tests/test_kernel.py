@@ -2,8 +2,8 @@
 
 `bidifferential_reference` builds every monomial pair's rows as tuples, one
 list per axis, and keys its sums by (order, exponent tuple); the kernel packs
-keys into ints, shares tables and prefix rows within a call, and must return
-`==` dicts for every input.
+keys into ints, shares tables and prefix rows within a call, packs the last
+axis's orders into one int, and must return `==` dicts for every input.
 """
 
 from collections import defaultdict
@@ -11,9 +11,11 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, perm
 from operator import add
 
+import pytest
 from hypothesis import given, strategies as st
 
 from moyal_lab.crational import CRational
+from moyal_lab.exprparse import MAX_COEFFICIENT_BITS
 from moyal_lab.polysym import PolySymbol, Shape
 from moyal_lab.star import _bidifferential
 
@@ -154,9 +156,50 @@ def test_kernel_digits_at_the_packing_bound():
     shape = Shape(1, False, True)
     A = PolySymbol(shape, {(40, 0, 64): Fraction(1, 3), (0, 40, 64): 1, (39, 1, 0): -2})
     B = PolySymbol(shape, {(40, 0, 64): 1, (1, 39, 64): Fraction(-5, 2), (0, 40, 0): 7})
-    for call in ((A, B, range(41)), (A, B, range(1, 41), (0, 0), True), (B, A, (40,))):
+    for call in ((A, B, range(41)), (A, B, range(1, 41), (0, 0), True), (B, A, (40,)),
+                 (A, B, (1, 39), (0, 0), True), (B, A, range(20, 41, 3), (0, 0), True)):
         assert _bidifferential(*call) == bidifferential_reference(*call)
     assert max(e[2] for p in _bidifferential(A, B, range(41)).values() for e in p.terms) == 128
+
+
+# numerators with mixed signs make the packed slot sums large and negative, and a constant
+# times the dominant term fills a digit to within one bit of its width, also with numerators
+# of about MAX_COEFFICIENT_BITS bits
+BIG = 2 ** (MAX_COEFFICIENT_BITS - 8)
+
+
+@pytest.mark.parametrize("big", [2 ** 300, BIG], ids=["300-bit", "cap-bit"])
+def test_kernel_digits_with_large_mixed_sign_coefficients(big):
+    shape = Shape(1)
+    A = PolySymbol(shape, {(3, 2): Fraction(-big + 1, 7), (1, 4): big - 3, (0, 1): -big // 5,
+                           (2, 0): Fraction(5, 3)})
+    B = PolySymbol(shape, {(2, 3): -big - 1, (4, 1): Fraction(big + 7, 3), (1, 0): -2})
+    c = PolySymbol.const(shape, Fraction(-big + 9, 11))
+    for call in ((A, B, range(6)), (B, A, range(6)), (A, B, range(1, 6), (0, 0), True),
+                 (A, A, range(1, 6), (0, 0), True), (c, B, (0,)), (B, c, (0,)), (c, A, range(3))):
+        assert _bidifferential(*call) == bidifferential_reference(*call)
+
+
+@pytest.mark.parametrize("big", [2 ** 300, BIG], ids=["300-bit", "cap-bit"])
+def test_kernel_digits_with_mixed_signs_in_d_3(big):
+    shape = Shape(3, False, True)
+    A = PolySymbol(shape, {(1, 0, 2, 2, 1, 0, 3): -big + 5, (0, 2, 1, 1, 0, 2, 0): big // 3,
+                           (2, 1, 0, 0, 1, 1, 1): Fraction(-7, 2 * big + 1)})
+    B = PolySymbol(shape, {(0, 1, 2, 1, 2, 0, 0): -big - 9, (2, 0, 1, 0, 1, 2, 2): -(big // 7)})
+    for call in ((A, B, range(5)), (A, B, range(1, 5), (0, 0), True), (B, A, (2, 3), (0, 0), True)):
+        assert _bidifferential(*call) == bidifferential_reference(*call)
+
+
+def test_kernel_bracket_on_single_orders_and_subsets():
+    # the packed series carries every order; unpacking keeps only the requested ones
+    shape = Shape(2, True, True)
+    A = PolySymbol(shape, {(3, 1, 0, 2, 1, 0, 0, 0, 1): Fraction(-3, 4), (0, 2, 2, 0, 0, 1, 0, 0, 0): 5,
+                           (1, 1, 1, 1, 0, 0, 1, 1, 2): CRational(1, -2)})
+    B = PolySymbol(shape, {(2, 2, 1, 0, 0, 0, 0, 1, 0): -1, (1, 0, 0, 3, 1, 1, 0, 0, 1): Fraction(7, 3),
+                           (0, 3, 2, 1, 0, 0, 0, 0, 0): CRational(0, 2)})
+    for orders in [(j,) for j in range(6)] + [(1, 3), (2, 4), (0, 5), range(2, 5)]:
+        for call in ((A, B, orders, (0, 0), True), (B, A, orders, (0, 0), True), (A, B, orders)):
+            assert _bidifferential(*call) == bidifferential_reference(*call)
 
 
 @given(translations(), st.sampled_from([0, 1, -1, Fraction(1, 2), CRational(0, 1)]))
