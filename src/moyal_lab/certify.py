@@ -33,16 +33,16 @@ from .exppoly import ExpPolySymbol, pure_exp_collapse
 
 def _exp_bracket_terms(H: PolySymbol, orders) -> dict[int, PolySymbol]:
     """{order: T_Y^* {T_Y, H}_order} for the given orders, from one bracket pass of the
-    kernel: i (C_j(T, H) - C_j(H, T)), where only T carries a phase."""
-    T = ExpPolySymbol.test_symbol(H.shape.d)
-    terms = _bidifferential(T.prefactor, ExpPolySymbol.from_poly(H).prefactor, orders,
-                            (-1, 0), bracket=True)
+    kernel: i (C_j(T, H) - C_j(H, T)), where only T carries a phase.  T has the unit
+    prefactor, so the kernel's prefactor of phase sign -1 times T_Y^* is the term itself."""
+    full = Shape(H.shape.d, True, True)
+    terms = _bidifferential(PolySymbol.const(full, 1), H.promoted(full), orders, (-1, 0),
+                            bracket=True)
     out = {}
-    for order, term in terms.items():
-        poly = (ExpPolySymbol(term, -1) * T.conjugated()).as_poly()
+    for order, poly in terms.items():
         if poly.degree("hbar") > 0:
             raise ConventionError("unexpected hbar content in a bracket term")
-        out[order] = poly.at_hbar(0) if poly.shape.has_hbar else poly
+        out[order] = poly.at_hbar(0)
     return out
 
 
@@ -131,13 +131,13 @@ def gvh_certificate(H: PolySymbol, m: int) -> Certificate:
         raise ValueError("truncation order must be >= 0")
     if H.shape.has_y or H.shape.has_hbar:
         raise ValueError("H must be a plain polynomial in X")
-    degH = H.degree()
-    for order in range(2 * m + 3, degH + 1, 2):
-        w = bracket_term_exp(H, (order - 1) // 2)
-        if not w.is_zero:
-            return Certificate(m=m, degree=degH, equal=False,
-                               witness=w, failing_order=order)
-    return Certificate(m=m, degree=degH, equal=True)
+    degH, order = H.degree(), 2 * m + 3
+    if degH < order:
+        return Certificate(m=m, degree=degH, equal=True)
+    w = bracket_term_exp(H, m + 1)      # nonzero, as deg H >= 2m + 3 (module docstring)
+    if w.is_zero:
+        raise ConventionError(f"the witness at bracket order {order} vanished for deg H = {degH}")
+    return Certificate(m=m, degree=degH, equal=False, witness=w, failing_order=order)
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,7 @@ def mpc_identity_check(H: PolySymbol) -> MpcReport:
         raise ValueError("H must be a plain polynomial in X")
     d = H.shape.d
     grad_dir = directional_power(H, 1)           # (Y.grad)H in (X, Y)
-    T = ExpPolySymbol.test_symbol(d)
-    F = ExpPolySymbol.from_poly(grad_dir) * T    # (Y.grad H) e^{-iL_Y}
+    F = ExpPolySymbol(grad_dir, -1)              # (Y.grad H) e^{-iL_Y}
     C = pure_exp_collapse(F, "right", +1)        # ... * e^{+iL_Y}
     lhs = C.as_poly()
 

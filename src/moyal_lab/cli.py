@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from .conventions import CONVENTIONS
 from .crational import CRational
-from .exprparse import (MAX_EXACT_DEGREE, ExprError, check_exact_pair, check_exact_rows, lower_poly,
-                        parse_symbol, pretty)
+from .exprparse import (MAX_EXACT_DEGREE, ExprError, check_exact_pair, check_exact_rows,
+                        check_shifted_terms, lower_poly, parse_symbol, pretty)
 from .polysym import PolySymbol
 from .star import ConventionError, HbarSeries, calibration_check
 
@@ -180,6 +180,8 @@ def cmd_gvh(args) -> int:
     from .certify import gvh_certificate
 
     H = _poly_arg(args.H, args.d)
+    # one kernel call per m whose witness order 2m + 3 is at most deg H
+    check_shifted_terms(H, len(range(3, min(H.degree(), 2 * args.max_m + 3) + 1, 2)))
     results = []
     for m in range(args.max_m + 1):
         cert = gvh_certificate(H, m)
@@ -197,6 +199,7 @@ def cmd_mpc(args) -> int:
     from .certify import mpc_identity_check
 
     H = _poly_arg(args.H, args.d)
+    check_shifted_terms(H)
     rep = mpc_identity_check(H)
     result = {
         "lhs_closed_form": poly_json(rep.lhs_closed_form),

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .crational import CRational
 from .polysym import PolySymbol, Shape
@@ -292,6 +292,7 @@ MAX_COEFFICIENT_BITS = 4096     # numerator or denominator of one coefficient
 MAX_EXACT_PAIRS = 10 ** 6       # term pairs of one exact product or bracket
 MAX_EXACT_PAIR_ROWS = 2 * 10 ** 6   # lowered term pairs x series orders; see README
 MAX_EXACT_DIMENSION = 64        # phase-space dimension d: every term carries 2d exponents
+MAX_SHIFTED_TERMS = 10 ** 5       # shifted terms x kernel calls of one gvh or mpc run; see README
 
 
 def check_dimension(d: int) -> None:
@@ -361,6 +362,17 @@ def check_exact_rows(A: PolySymbol, B: PolySymbol) -> None:
     rows = len(A.num) * len(B.num) * (min(A.degree(), B.degree()) + 1)
     if rows > MAX_EXACT_PAIR_ROWS:
         raise ValueError(f"pair-row estimate {rows} exceeds the exact engine's cap of {MAX_EXACT_PAIR_ROWS}")
+
+
+def check_shifted_terms(H: PolySymbol, calls: int = 1) -> None:
+    """Refuse a one-operand run (gvh, mpc) when its shifted terms, the sum over the terms of H of
+    prod_k (a_k + 1)(b_k + 1), times its kernel calls exceed the cap: a Taylor shift of H, and
+    the kernel's shifted operand, hold up to that many terms."""
+    d = H.shape.d
+    work = calls * sum(prod((e[k] + 1) * (e[d + k] + 1) for k in range(d)) for e in H.num)
+    if work > MAX_SHIFTED_TERMS:
+        raise ValueError(f"shifted-term estimate {work} exceeds the exact engine's cap of "
+                         f"{MAX_SHIFTED_TERMS}")
 
 
 def lower_poly(node: Node, d: int = 1, allow_y: bool = False,

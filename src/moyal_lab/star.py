@@ -23,12 +23,17 @@ as a product of d tables: order j = s_1 + ... + s_d, coefficient
 A phase factor e^{i s L_Y} (exppoly) turns the d_x of its factor into
 d_x + i s eta and its d_xi into d_xi - i s y.  Counting each phase factor
 without its i (restored from the output Y degree), the order-s operator is
-O^s / s! with O = P + D_L + D_R, D_L = s_B (y d_x + eta d_xi) on the left
-factor and D_R = -s_A (y d_x + eta d_xi) on the right one (the y eta terms
-cancel).  The three commute, so O^s / s! is the sum over q + l + r = s of
-(P^q / q!)(D_L^l / l!)(D_R^r / r!): each monomial is shifted by D^l / l!,
-which has binomial coefficients, and the shifted pair contributes T[q].
-Every table entry is an integer.
+O^s / s! with O = P + s_B D on the left factor - s_A D on the right one,
+D = y d_x + eta d_xi summed over the axes (the y eta terms cancel).  The three
+parts commute, so each factor is first expanded once into its shifted operand
+sum_l (s D)^l / l! A: on one axis the entry (l, i) takes x^al xi^be to
+s^l C(al, i) C(be, l - i) y^i eta^(l - i) x^(al - i) xi^(be - l + i), an integer,
+and adds l to the order.  The shifted operands then run through the tables
+above like unphased ones.  A pair of entries of orders l and r, of X-degrees
+n and n', reaches the orders l + r + q with q <= min(n, n'), so an entry of A
+reaches only orders in [l, l + min(n + r_max, deg B)], r_max being deg B if B
+is shifted and 0 otherwise; entries that reach no wanted order are dropped, so a
+single-order call expands only the entries it needs.
 
 The kernel works in Python ints on the operands' numerators over their
 denominators D_A, D_B; each order's output is (-i/2)^j / (D_A D_B) times
@@ -38,11 +43,12 @@ bit length of deg A + deg B + j_max over all blocks (the narrowest width keeps
 most keys within one machine digit of a Python int).  Each term is packed
 once and each table entry holds its key delta (s in the order digit), so a
 row's key is key_A + key_B + the deltas.  Tables are built on first use and
-live for one call.  Terms are grouped by their exponents on axes 0..d-2, so
-the prefix rows are built once per pair of groups and the last axis runs
-inside the accumulation.
+live for one call.  Terms are grouped by their shift order l and their
+exponents on axes 0..d-2, so the prefix rows are built once per pair of
+groups, up to the orders the pair can reach, and the last axis runs inside
+the accumulation.
 
-Without phases the last axis's series is packed into one int,
+The last axis's series is packed into one int,
 L = sum_s T[s] 2^(W s) = R1(2^W) R2(2^W), a product of two packed rows
 (Kronecker substitution on the order axis alone), so each term pair and
 prefix row costs one integer multiply-add, into[key] += v c L, whatever the
@@ -56,14 +62,14 @@ axes the product is at most M = min((1 + deg B)^deg A, (1 + deg A)^deg B),
 degrees in X.  A digit sums n_A n_B v T[s] over term pairs and rows, so it
 is at most |A| |B| M in absolute value, |A| being the sum of the |numerators|
 of A; the bracket's second pass can double that and the sign takes a bit:
-W = bit_length(|A| |B| M) + bracket + 1.  A narrower W would corrupt exact
-results silently, so W is not a tuning knob.  One pair's series alone is at
-most M, so the tables take T from R1 R2 in digits of bit_length(M) + 1 bits.
-Every call without phases is packed, whatever its W; with numerators of
-thousands of bits one multiply by a series of W-bit digits costs more than
-one per order, but no benchmark workload measures where.  With phases the last axis keeps one multiply-add per table entry, as the
-test family's tables hold one order per (eta, y) exponent class and packing
-them gains nothing.
+W = bit_length(|A| |B| M) + bracket + 1.  With phases |A| and |B| are those of
+the shifted operands, entries dropped by the reach bound left out: a digit
+then sums n_A n_B v T[s] over pairs of shifted entries, and as a shift only
+lowers X-degrees, M bounds each such pair's series too.  A narrower W would
+corrupt exact results silently, so W is not a tuning knob.  Every call is
+packed, whatever its W; with numerators of thousands of bits one multiply by
+a series of W-bit digits costs more than one per order, but no benchmark
+workload measures where.
 
 Series are represented by `HbarSeries`: a finite map {j: PolySymbol} of
 hbar-power to coefficient symbol (coefficients carry no hbar block).
@@ -73,7 +79,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import islice
 from math import comb, perm
 from typing import Mapping
 
@@ -174,156 +179,130 @@ def _row(e: int, f: int, sign: int, jmax: int) -> list:
     return [sign ** a * comb(e, a) * perm(f, a) for a in range(min(e, f, jmax) + 1)]
 
 
-def _digits(v: int, W: int):
-    """The digits t_0, t_1, ... of v = sum_s t_s 2^(W s), each -2^(W-1) <= t_s < 2^(W-1)."""
-    half, mask = 1 << W - 1, (1 << W) - 1
-    while v:
-        yield (v + half & mask) - half
-        v = v + half >> W
-
-
-def _shifts(x: int, xi: int, sign: int, jmax: int, memo: dict) -> list:
-    """[(l, i, x - i, xi - l + i, c)]: (sign (y d_x + eta d_xi))^l / l! x^x xi^xi is the sum of
-    c y^i eta^(l - i) x^(x - i) xi^(xi - l + i) over the entries; l = 0 only without a phase."""
-    if (x, xi, sign) not in memo:
-        memo[x, xi, sign] = [(l, i, x - i, xi - l + i, sign ** l * comb(x, i) * comb(xi, l - i))
-                             for l in range(min(x + xi, jmax) + 1 if sign else 1)
-                             for i in range(max(0, l - xi), min(l, x) + 1)]
-    return memo[x, xi, sign]
-
-
-def _axis_entries(al: int, be: int, ga: int, de: int, sa: int, sb: int, jmax: int,
-                  memo: dict, series) -> list:
-    """[(s, eta exponent, y exponent, entry)]: the terms of O^s / s! on one axis for the left
-    monomial x^al xi^be (phase sign sa) and the right monomial x^ga xi^de (phase sign sb);
-    series(al, be, ga, de) is [T[0], T[1], ...] up to order jmax."""
-    if (al, be, ga, de, sa, sb) not in memo:
-        out, right = [], _shifts(ga, de, -sa, jmax, memo)             # D_R^r / r!
-        for l, i, al2, be2, cl in _shifts(al, be, sb, jmax, memo):    # D_L^l / l!
-            for r, h, ga2, de2, cr in right:
-                if l + r > jmax:
-                    break
-                # then P^q / q!: T[q] of the shifted monomials, 1 unless a derivative can act
-                t = series(al2, be2, ga2, de2) if be2 and ga2 or al2 and de2 else (1,)
-                c, m, n = cl * cr, l - i + r - h, i + h
-                out += [(s, m, n, c * u) for s, u in enumerate(t[:jmax + 1 - l - r], l + r) if u]
-        memo[al, be, ga, de, sa, sb] = out
-    return memo[al, be, ga, de, sa, sb]
-
-
 def _bidifferential(A: PolySymbol, B: PolySymbol, orders, signs=(0, 0),
                     bracket: bool = False) -> dict[int, PolySymbol]:
-    """{j: C_j(A, B)} for j in `orders` by the per-axis tables of the module
-    docstring; with `bracket`, {j: i (C_j(A, B) - C_j(B, A))}.
-
-    `signs` are the phase signs s of the factors e^{i s L_Y} on A and B.
-    """
+    """{j: C_j(A, B)} for j in `orders` by the per-axis tables of the module docstring, `signs`
+    being the phase signs s of the factors e^{i s L_Y} on A and B; with `bracket`,
+    {j: i (C_j(A, B) - C_j(B, A))}."""
     orders, shape, d = set(orders), A.shape, A.shape.d
     if not orders:
         return {}
     jmax, nv, ny = max(orders), shape.nvars, (4 if shape.has_y else 2) * d
     width = (sum(max(map(sum, p.num), default=0) for p in (A, B)) + jmax).bit_length()
     top, mask = nv * width, (1 << width) - 1
-    # series are packed in signed digits, of Wt bits for one pair's T and of W bits for the sums
-    # of the accumulation, both from the bounds of the module docstring
     deg = [max((sum(e[:2 * d]) for e in p.num), default=0) for p in (A, B)]
-    size = [sum(abs(q) for c in p.num.values() for q in c) for p in (A, B)]
+    # prefix rows are all [(0, 0, 1)] if either factor has no exponent on axes 0..d-2
+    flat = not all(any(any(e[:d - 1] + e[d:2 * d - 1]) for e in p.num) for p in (A, B))
     M = min((1 + deg[1]) ** deg[0], (1 + deg[0]) ** deg[1])
-    Wt, W = M.bit_length() + 1, (size[0] * size[1] * M).bit_length() + bracket + 1
-    packing = not any(signs)
-    memo, tables, ints = {}, {}, {}     # shifts, entries, tables and packed rows of this call only
+    nxt = [min(o for o in orders if o >= l) for l in range(jmax + 1)]    # next wanted order
+    memo, reach, tables, ints = {}, {}, {}, {}     # all for this call only
+    lowering = [(1 << top) - (1 << width * k) - (1 << width * (k + d)) for k in range(d)]
 
-    def packed(e, f, sign, w):
-        """R1 (sign 1) or R2 (sign -1) of (e, f) in w-bit digits, at 2^(w a) for a = 0, 1, ..."""
-        if (e, f, sign, w) not in ints:
-            ints[e, f, sign, w] = sum(u << w * a for a, u in enumerate(_row(e, f, sign, jmax)))
-        return ints[e, f, sign, w]
+    def packed(e, f, sign):
+        """R1 (sign 1) or R2 (sign -1) of (e, f) in W-bit digits, at 2^(W a) for a = 0, 1, ..."""
+        if (e, f, sign) not in ints:
+            ints[e, f, sign] = sum(u << W * a for a, u in enumerate(_row(e, f, sign, jmax)))
+        return ints[e, f, sign]
 
-    def series(al, be, ga, de):
-        """[T[0], T[1], ...] up to order jmax: the digits of R1 R2."""
-        return list(islice(_digits(packed(be, ga, 1, Wt) * packed(al, de, -1, Wt), Wt), jmax + 1))
-
-    def grouped(p, sign):
-        """(D, {exponents on axes 0..d-2: [(x, xi exponent on axis d-1, key, n, k)]}): sign * p
-        is the sum of n i^(k + Y degree) X^e / D over the entries, k being 0 for a real and 1
-        for an imaginary part, less the Y degree, which the output restores as the phases' i."""
-        groups: dict = defaultdict(list)
-        for e, c in p.num.items():
-            key = sum(x << width * i for i, x in enumerate(e))
-            for part, q in enumerate(c):
-                if q:
-                    groups[e[:d - 1] + e[d:2 * d - 1]].append((
-                        e[d - 1], e[2 * d - 1], key, sign * q, part - sum(e[2 * d:ny]) & 3))
-        return p.den, groups
-
-    def table(k, al, be, ga, de, sa, sb):
-        """[(s, key delta, entry)] on axis k for x^al xi^be (left) and x^ga xi^de (right)."""
+    def shifted(k, x, xi):
+        """[[(key delta, x - i, xi - l + i, C(x, i) C(xi, l - i))] for l = 0, 1, ...]: the entries
+        (l, i) of D^l / l! x^x xi^xi on axis k (module docstring); a key delta adds l to the order."""
         sx, sxi, sy, seta = (width * (k + b * d) for b in range(4))
-        step, on_x = (1 << top) - (1 << sx) - (1 << sxi), (1 << sx) + (1 << seta)
-        on_xi = (1 << sxi) + (1 << sy)
-        t = tables[k, al, be, ga, de, sa, sb] = [
-            (s, s * step + m * on_x + n * on_xi, v)
-            for s, m, n, v in _axis_entries(al, be, ga, de, sa, sb, jmax, memo, series)
-        ] if sa or sb else [(s, s * step, v) for s, v in enumerate(series(al, be, ga, de)) if v]
+        memo[k, x, xi] = [[((l << top) + (i << sy) - (i << sx) + (l - i << seta) - (l - i << sxi),
+                            x - i, xi - l + i, comb(x, i) * comb(xi, l - i))
+                           for i in range(max(0, l - xi), min(l, x) + 1)]
+                          for l in range(min(x + xi, jmax) + 1)]
+        return memo[k, x, xi]
+
+    def grouped(t):
+        """({(l, exponents on axes 0..d-2): [(x, xi exponent on axis d-1, key, n, k)]}, sum of |n|): the
+        shifted operand of p = (A, B)[t] with s = 1 (p if the other factor has no phase) is the sum
+        of n i^(k + Y degree) X^e / p.den over the entries, k being 0 for a real and 1 for an
+        imaginary part, less the unshifted Y degree, which the output restores as the phases' i;
+        entries that reach no wanted order are left out."""
+        p, other, shift, groups, size = (A, B)[t], deg[1 - t], signs[1 - t], defaultdict(list), 0
+        r_max = other if signs[t] else 0        # the most the other factor's shift adds
+        for e, c in p.num.items():
+            free = hi = sum(e[:2 * d])      # free: the most the axes still to come can shift
+            if (t, hi) not in reach:        # least[l]: the least order >= l an entry may have
+                ok = [m for m in range(jmax + 1) if nxt[m] <= min(hi + r_max, m + other)]
+                reach[t, hi] = [min((m for m in ok if m >= l), default=jmax + 1) for l in range(jmax + 2)]
+            least = reach[t, hi]
+            parts = [(part - sum(e[2 * d:ny]) & 3, q) for part, q in enumerate(c) if q]
+            rows = [(0, sum(x << width * i for i, x in enumerate(e)), 1, ())]
+            for k in range(d):      # prefix rows on axes 0..d-2, then the last axis's entries
+                x, xi, free = e[k], e[d + k], free - e[k] - e[d + k]
+                sh = (memo.get((k, x, xi)) or shifted(k, x, xi)) if shift else [[(0, x, xi, 1)]]
+                if k < d - 1:
+                    rows = [(l + m, key + dk, v * u, ex + (x2, xi2)) for l, key, v, ex in rows
+                            for m in range(min(len(sh), jmax + 1 - l)) if least[l + m] <= l + m + free
+                            for dk, x2, xi2, u in sh[m]]
+                    continue
+                for l, key, v, ex in rows:
+                    for m in range(min(len(sh), jmax + 1 - l)):
+                        if least[l + m] == l + m:
+                            g = groups[(l + m,) + (() if flat else ex[::2] + ex[1::2])]
+                            for dk, x2, xi2, u in sh[m]:
+                                for part, q in parts:
+                                    g.append((x2, xi2, key + dk, q * v * u, part))
+                                    size += abs(q * v * u)
+        return groups, size
+
+    def signed(groups, sign, shift):
+        """`groups` with each n times sign shift^l, l being its group's shift order."""
+        return {g: [(x, xi, key, -n, k) for x, xi, key, n, k in Lt] if (sign < 0) ^ (shift < 0 and g[0] & 1)
+                else Lt for g, Lt in groups.items()}
+
+    def table(k, al, be, ga, de):
+        """[(s, key delta, T[s])] on axis k for x^al xi^be (left) and x^ga xi^de (right); the key
+        delta lowering[k] raises the order by one and lowers x_k and xi_k by one."""
+        r1, r2 = _row(be, ga, 1, jmax), _row(al, de, -1, jmax)
+        T = [sum(u * r2[s - a] for a, u in enumerate(r1) if 0 <= s - a < len(r2)) for s in range(jmax + 1)]
+        t = tables[k, al, be, ga, de] = [(s, s * lowering[k], v) for s, v in enumerate(T) if v]
         return t
 
-    (DA, GA), (DB, GB) = grouped(A, 1), grouped(B, 1)
+    (GA, sizeA), (GB, sizeB) = grouped(0), grouped(1)
+    passes = [(signed(GA, 1, signs[1]), signed(GB, 1, -signs[0]))]
+    if bracket:     # i (C_j(A, B) - C_j(B, A)): the second pass swaps the factors
+        passes.append((signed(GB, -1, signs[0]), signed(GA, 1, -signs[1])))
+    W = (sizeA * sizeB * M).bit_length() + bracket + 1     # by the module docstring
     acc = [defaultdict(int) for _ in range(4)]      # key -> numerator of i^0, i^1, i^2, i^3
-    passes = [(GA, GB, signs)] + ([(grouped(B, -1)[1], GA, signs[::-1])] if bracket else [])
-    for left, right, (sa, sb) in passes:
-        lasts: dict = {}    # last-axis exponents -> [[(key delta, entry)] for prefix order j]
-        if packing:         # left terms carry their rows R1[xi exponent] and R2[x exponent]
-            ends = [t for Rt in right.values() for t in Rt]
-            gx, gxi = (max((t[i] for t in ends), default=0) + 1 for i in (0, 1))
-            als, bes = ({t[i] for Lt in left.values() for t in Lt} for i in (0, 1))
-            R1 = {be: [packed(be, ga, 1, W) for ga in range(gx)] for be in bes}
-            R2 = {al: [packed(al, de, -1, W) for de in range(gxi)] for al in als}
-            left = {pa: [(R1[be], R2[al], ka, va, ra) for al, be, ka, va, ra in Lt]
-                    for pa, Lt in left.items()}
+    for left, right in passes:
+        # left terms carry their rows R1[xi exponent] and R2[x exponent]
+        gx, gxi = (max((t[i] for Rt in right.values() for t in Rt), default=0) + 1 for i in (0, 1))
+        als, bes = ({t[i] for Lt in left.values() for t in Lt} for i in (0, 1))
+        R1 = {be: [packed(be, ga, 1) for ga in range(gx)] for be in bes}
+        R2 = {al: [packed(al, de, -1) for de in range(gxi)] for al in als}
         for pa, Lt in left.items():
+            Lt = [(R1[be], R2[al], ka, va, ra) for al, be, ka, va, ra in Lt]
             for pb, Rt in right.items():
-                rows = [(0, 0, 1)]          # (order, key delta, entry) over axes 0..d-2
-                for k in range(d - 1):
-                    e = k, pa[k], pa[d - 1 + k], pb[k], pb[d - 1 + k], sa, sb
-                    t = tables.get(e) or table(*e)
-                    rows = t if k == 0 else [(j + s, dj + dk, v * u) for j, dj, v in rows
-                                             for s, dk, u in t if j + s <= jmax]
-                if packing:         # one multiply-add per term pair and row: R1 R2 is the series
-                    for r1, r2, ka, va, ra in Lt:
-                        for ga, de, kb, vb, rb in Rt:
-                            into, kab, c = acc[ra + rb & 3], ka + kb, r1[ga] * r2[de] * (va * vb)
-                            for j, dj, v in rows:
-                                into[kab + dj] += v * c
+                if (base := pa[0] + pb[0]) > jmax:      # the two groups' shift orders
                     continue
-                for al, be, ka, va, ra in Lt:       # otherwise one multiply-add per entry
+                rows = [(0, 0, 1)]          # (order, key delta, entry) over axes 0..d-2
+                for k in range(len(pa) // 2):
+                    e = k, pa[k + 1], pa[d + k], pb[k + 1], pb[d + k]
+                    t = tables.get(e) or table(*e)
+                    rows = [(j + s, dj + dk, v * u) for j, dj, v in rows
+                            for s, dk, u in t if base + j + s <= jmax]
+                # one multiply-add per term pair and row: R1 R2 is the last axis's series
+                for r1, r2, ka, va, ra in Lt:
                     for ga, de, kb, vb, rb in Rt:
-                        if (last := lasts.get((al, be, ga, de))) is None:
-                            t = table(d - 1, al, be, ga, de, sa, sb)
-                            last = lasts[al, be, ga, de] = [
-                                [(dk, u) for s, dk, u in t if j + s in orders]
-                                for j in range(jmax + 1 if d > 1 else 1)]
-                        into, c, kab = acc[ra + rb & 3], va * vb, ka + kb
+                        into, kab, c = acc[ra + rb & 3], ka + kb, r1[ga] * r2[de] * (va * vb)
                         for j, dj, v in rows:
-                            key, vc = kab + dj, v * c
-                            for dk, u in last[j]:
-                                into[key + dk] += u * vc
-    if packing:         # digit s of a packed sum at a key of order j is the order j + s term
-        step, series_sums = (1 << top) - (1 << width * (d - 1)) - (1 << width * (2 * d - 1)), acc
-        acc, wanted = [defaultdict(int) for _ in range(4)], [j in orders for j in range(jmax + 1)]
-        for sums, into in zip(series_sums, acc):
-            for key, v in sums.items():
-                j = key >> top
-                for s, t in zip(range(jmax + 1 - j), _digits(v, W)):
-                    if t and wanted[j + s]:
-                        into[key + s * step] += t
+                            into[kab + dj] += v * c
     terms, slots = {j: {} for j in orders}, [width * i for i in range(nv)]
+    step, half, digit = lowering[-1], 1 << W - 1, (1 << W) - 1
     for k, sums in enumerate(acc):
-        for key, c in sums.items():
-            j, e = key >> top, tuple([key >> i & mask for i in slots])
-            # c i^k times (-i)^j = i^3j, the phases' i^(Y degree) and the bracket's i: i^n
-            n, t = k + 3 * j + sum(e[2 * d:ny]) + bracket & 3, terms[j].setdefault(e, [0, 0])
-            t[n & 1] += -c if n & 2 else c
-    return {j: PolySymbol._reduced(shape, DA * DB << j,
+        for key, v in sums.items():
+            j = key >> top
+            while v and j <= jmax:      # digit s at a key of order j: the order j + s term, lowered
+                if (c := (v + half & digit) - half) and j in terms:     # -2^(W-1) <= c < 2^(W-1)
+                    e = tuple([key >> i & mask for i in slots])
+                    # c i^k times (-i)^j = i^3j, the phases' i^(Y degree) and the bracket's i: i^n
+                    n, t = k + 3 * j + sum(e[2 * d:ny]) + bracket & 3, terms[j].setdefault(e, [0, 0])
+                    t[n & 1] += -c if n & 2 else c
+                v, j, key = v + half >> W, j + 1, key + step
+    return {j: PolySymbol._reduced(shape, A.den * B.den << j,
                                    {e: (re, im) for e, (re, im) in t.items() if re or im})
             for j, t in terms.items()}
 

@@ -152,7 +152,10 @@ def test_quantize_spectral_rejects_momentum_polynomials(capsys, symbol):
 
 @pytest.mark.parametrize("symbol", ["x^2", "gauss(1)", "xi*gauss(1)"])
 def test_quantize_spectral_accepts_position_and_enveloped_symbols(capsys, symbol):
-    rc = cli.main(["quantize", "--A", symbol, "--Nx", "64", "--L", "8", "--spectral"])
+    # x^2 does not decay at the box edge, so the boundary-decay guard warns
+    decay = pytest.warns(UserWarning, match="box boundary") if symbol == "x^2" else contextlib.nullcontext()
+    with decay:
+        rc = cli.main(["quantize", "--A", symbol, "--Nx", "64", "--L", "8", "--spectral"])
     res = json.loads(capsys.readouterr().out)["result"]
     assert rc == 0
     assert res["roundtrip_interior_sup_error"] <= 1e-5 * res["roundtrip_scale"]
@@ -203,10 +206,14 @@ DENSE_D3 = "(x1+x2+x3+xi1+xi2+xi3+{})^12"      # 18,564 terms each
     (["mpc", "--d", "65", "--H", "x1^3"], "dimension 65 exceeds the exact engine's cap of 64"),
     (["star", "--d", "-1", "--A", "x^2", "--B", "xi"], "dimension must be >= 1, got -1"),
     (["gvh", "--H", "x^3", "--max-m", "1000000000"], "--max-m must be at most 31: every H within the degree cap of 64 is Equal from there on"),
+    (["mpc", "--H", "(x+xi+1)^64"], "shifted-term estimate 814385 exceeds the exact engine's cap of 100000"),
+    (["gvh", "--H", "(x+xi+1)^64", "--max-m", "3"],
+     "shifted-term estimate 3257540 exceeds the exact engine's cap of 100000"),
 ], ids=["literal-power", "star-pairs", "bracket-pairs", "star-dimension", "mpc-dimension",
-        "negative-dimension", "gvh-max-m"])
+        "negative-dimension", "gvh-max-m", "mpc-shifted-terms", "gvh-shifted-terms"])
 def test_exact_size_caps_exit_before_expanding(capsys, argv, message):
-    # coefficient bits and term pairs are read off the expressions; nothing is lowered
+    # coefficient bits and term pairs are read off the expressions; nothing is lowered but the
+    # one operand of gvh and mpc, whose shifted terms are counted before any shift is built
     start = time.perf_counter()
     assert cli.main(argv) == 1
     assert time.perf_counter() - start < 1.0
@@ -348,14 +355,16 @@ def test_grid_argv_fuzz(argv):
     assert (rc == 0) == bool(out.getvalue())
 
 
-# exact operands: malformed text, inputs the caps refuse for every subcommand, and operand
-# pairs refused by the pair caps (the cost of an admitted degree-40 dense operand in gvh or mpc
-# is not bounded yet, so generated operands stay small)
+# exact operands: malformed text, inputs the caps refuse for every subcommand, operand pairs
+# refused by the pair caps, and one-operand inputs near and above the shifted-term cap
 MALFORMED_EXPRS = ["", "x +", "(x", "x^-1", "x^^2", "2/0", "gauss(1)", "eta", "hbar", "xi0", "q",
                    "x**2", "1/2/3", ")", "1.5", "x1", "xi4"]
 REFUSED_EXPRS = (["x^65", "(x + xi)^65", "x^3000*xi^3000", "(x + 1)^100000000", "2^5000",
                   "2^100000000", "1" + "0" * 2000, "x^99999999999999999999999"])
 REFUSED_PAIRS = [(DENSE_D3.format(1), DENSE_D3.format(2)), ("(x+xi+1)^40", "(x+xi+2)^40")]
+SHIFTED_TERMS_EXPRS = {1: ["(x+xi+1)^64", "(x+xi+1)^40", "(x-2*xi+1/3)^20"],
+                       2: ["(x1+x2+xi1+xi2+1)^16", "(x1+xi2+1)^20"],
+                       3: ["(x1+x2+x3+xi1+xi2+xi3+1)^9", "(x1+x2+x3+xi1+xi2+xi3+1)^5"]}
 EXACT_BAD_VALUES = {"d": ["0", "-1", "65", "1000000000", "x", ""],
                     "m": ["-1", "10000000000000", "one"],
                     "max-m": ["-1", "32", "1000000000", "1.5"]}
@@ -387,7 +396,7 @@ def exact_argv(draw):
             fields.update(mode=draw(st.sampled_from(["poisson", "moyal", "truncated", "both"])),
                           m=draw(st.sampled_from(["0", "1", "2"])))
     else:
-        fields["H"] = draw(operands)
+        fields["H"] = draw(st.one_of(operands, st.sampled_from(SHIFTED_TERMS_EXPRS[d])))
         if cmd == "gvh":
             fields["max-m"] = draw(st.sampled_from(["0", "1", "3"]))
     bad = draw(st.one_of(st.none(), st.sampled_from([f for f in EXACT_BAD_VALUES if f in fields])))

@@ -1,11 +1,15 @@
 """The exact kernel `star._bidifferential` against its earlier form, kept verbatim.
 
 `bidifferential_reference` builds every monomial pair's rows as tuples, one
-list per axis, and keys its sums by (order, exponent tuple); the kernel packs
-keys into ints, shares tables and prefix rows within a call, packs the last
-axis's orders into one int, and must return `==` dicts for every input.
+list per axis, expands phases by Leibniz inside them, and keys its sums by
+(order, exponent tuple).  The kernel first expands each factor that a phase
+shifts into its shifted operand, then packs keys into ints, shares tables and
+prefix rows within a call, and packs the last axis's orders into one int.  It
+must return `==` dicts for every input, with and without phases.
 """
 
+import itertools
+import random
 from collections import defaultdict
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, perm
@@ -216,3 +220,49 @@ def test_at_hbar_drops_cancelled_terms():
     p = PolySymbol(shape, {(1, 0, 1): 1, (1, 0, 0): -1, (0, 1, 2): 3})
     assert p.at_hbar(1) == PolySymbol(Shape(1), {(0, 1): 3})
     _assert_canonical(p.at_hbar(1))
+
+
+def _mono(d, x=(), xi=(), y=(), eta=(), hbar=0):
+    """The exponents of a monomial of Shape(d, True, True), each block padded with zeros."""
+    return sum((tuple(b) + (0,) * (d - len(b)) for b in (x, xi, y, eta)), ()) + (hbar,)
+
+
+PHASE_SIGNS = [(-1, 0), (0, 1), (1, -1)]
+GAPPED_ORDERS = [(3,), (2, 4), range(1, 6, 2)]
+
+
+@pytest.mark.parametrize("big", [2 ** 300, BIG], ids=["300-bit", "cap-bit"])
+@pytest.mark.parametrize("d", [1, 3])
+def test_kernel_phases_with_large_mixed_sign_coefficients(d, big):
+    # phases shift the operands before the packed pair loop: the digit width must cover the
+    # shifted operands' numerators, whose binomials C(x, i) C(xi, l - i) exceed the unshifted
+    # ones, and a constant factor against one monomial puts all of |A| |B| into one digit
+    shape, a, b = Shape(d, True, True), (3, 1, 0)[:d], (2, 0, 1)[:d]
+    A = PolySymbol(shape, {_mono(d, x=a, xi=b, eta=(1,)): Fraction(-big + 1, 7),
+                           _mono(d, x=(1,), xi=(0, 1, 2)[-d:], y=(1,), hbar=2): big - 3,
+                           _mono(d, xi=(1,), hbar=1): -big // 5, _mono(d, x=(2,)): Fraction(5, 3)})
+    B = PolySymbol(shape, {_mono(d, x=b, xi=a[::-1], y=(1,)): -big - 1,
+                           _mono(d, x=(2,), xi=(0, 1)[:d], hbar=1): Fraction(big + 7, 3),
+                           _mono(d, x=(1,), eta=(2,)): -2})
+    c = PolySymbol.const(shape, Fraction(-big + 9, 11))
+    m = PolySymbol(shape, {_mono(d, x=(2, 0, 1)[:d], xi=(2, 1)[:d]): big - 5})
+    for signs in PHASE_SIGNS:
+        for orders in GAPPED_ORDERS:
+            for bracket in (False, True):
+                for P, Q in ((A, B), (B, A), (c, m), (m, c)):
+                    call = (P, Q, orders, signs, bracket)
+                    assert _bidifferential(*call) == bidifferential_reference(*call), call[2:]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_kernel_unit_test_symbol_against_H(d):
+    # the certificate route: T_Y = e^{-i L_Y} with unit prefactor against a plain H
+    full, rng = Shape(d, True, True), random.Random(d)
+    exps = [e for e in itertools.product(range(4), repeat=2 * d) if 0 < sum(e) <= 5]
+    H = PolySymbol(Shape(d), {e: Fraction(rng.choice([-5, -3, 2, 7]), rng.randint(1, 4))
+                              for e in rng.sample(exps, 25)}).promoted(full)
+    T = PolySymbol.const(full, 1)
+    for orders in [(j,) for j in range(1, 6)] + [range(1, 6, 2), (2, 4)]:
+        for call in ((T, H, orders, (-1, 0), True), (T, H, orders, (-1, 0)), (H, T, orders, (0, -1)),
+                     (H, T, orders, (0, 1), True)):
+            assert _bidifferential(*call) == bidifferential_reference(*call), call[2:]
