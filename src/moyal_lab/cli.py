@@ -6,7 +6,8 @@ coherent.  Outputs are deterministic (sorted keys, exact rationals as
 calibrated conventions table.  Exit codes: 0 success, 1 parse/config
 error or out of memory, 2 numeric tolerance, floating-point failure or a
 number too large for a float, 3 internal invariant failure or any other
-error; every failure prints one "moyal-lab: ..." line to stderr.
+error; every failure prints one "moyal-lab: ..." line to stderr and nothing
+on stdout.
 
 The environment variable MOYAL_LAB_THREADS sets the worker threads of the
 numeric backends, 1 when unset, so that output does not depend on the
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -75,7 +77,10 @@ def series_json(s: HbarSeries) -> dict:
 
 def emit_json(payload: dict, args) -> None:
     payload = {"command": payload.pop("command"), "conventions": CONVENTIONS, **payload}
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:       # a NaN or an infinity in the payload
+        raise FloatingPointError(str(exc)) from exc
     _write(text, args)
 
 
@@ -97,18 +102,20 @@ def fmt(x: float) -> str:
 
 # ------------------------------------------------------------- lowering helpers
 
-def _poly_arg(text: str, d: int) -> PolySymbol:
-    return lower_poly(parse_symbol(text), d=d)
+def _poly_arg(text: str, d: int) -> tuple[PolySymbol, str]:
+    """An exact operand and its canonical text, from one parse."""
+    node = parse_symbol(text)
+    return lower_poly(node, d=d), pretty(node)
 
 
-def _poly_pair(a: str, b: str, d: int) -> tuple[PolySymbol, PolySymbol]:
-    """Both operands of an exact product or bracket, refused before lowering if too large,
-    and after lowering if their kernel work is."""
+def _poly_pair(a: str, b: str, d: int) -> tuple[PolySymbol, PolySymbol, str, str]:
+    """Both operands of an exact product or bracket and their canonical texts, refused before
+    lowering if too large, and after lowering if their kernel work is."""
     na, nb = parse_symbol(a), parse_symbol(b)
     check_exact_pair(na, nb, d)
     A, B = lower_poly(na, d=d), lower_poly(nb, d=d)
     check_exact_rows(A, B)
-    return A, B
+    return A, B, pretty(na), pretty(nb)
 
 
 def _eval_arg(text: str):
@@ -128,19 +135,19 @@ def _num_list(text: str, kind=float) -> list:
 
 def cmd_star(args) -> int:
     if args.mode == "exact":
-        A, B = _poly_pair(args.A, args.B, args.d)
+        A, B, a_text, b_text = _poly_pair(args.A, args.B, args.d)
         from .star import moyal_product
 
         prod = moyal_product(A, B)
-        emit_json({"command": "star", "mode": "exact", "d": args.d,
-                   "A": pretty(parse_symbol(args.A)), "B": pretty(parse_symbol(args.B)),
+        emit_json({"command": "star", "mode": "exact", "d": args.d, "A": a_text, "B": b_text,
                    "result": series_json(prod)}, args)
         return EXIT_OK
-    from .grid import GridSpec, check_grid_bytes, sample, star_grid
+    from .grid import GridSpec, check_grid_bytes, check_grid_work, sample, star_grid
     from .gridio import save_grid_symbol
 
     spec = GridSpec(args.N, args.L, args.hbar)
     check_grid_bytes(spec.n)
+    check_grid_work(spec.n)
     GA = sample(_eval_arg(args.A), spec)
     GB = sample(_eval_arg(args.B), spec)
     S = star_grid(GA, GB)
@@ -159,7 +166,7 @@ def cmd_bracket(args) -> int:
     from .star import _bracket_split, moyal_bracket
     from .polysym import poisson_bracket
 
-    A, H = _poly_pair(args.A, args.H, args.d)
+    A, H, a_text, h_text = _poly_pair(args.A, args.H, args.d)
     result = {}
     if args.mode in ("poisson", "both"):
         result["poisson"] = poly_json(poisson_bracket(A, H))
@@ -170,8 +177,7 @@ def cmd_bracket(args) -> int:
         result["truncated"] = series_json(truncated)
         result["discrepancy"] = series_json(discrepancy)
         result["m"] = args.m
-    emit_json({"command": "bracket", "mode": args.mode, "d": args.d,
-               "A": pretty(parse_symbol(args.A)), "H": pretty(parse_symbol(args.H)),
+    emit_json({"command": "bracket", "mode": args.mode, "d": args.d, "A": a_text, "H": h_text,
                "result": result}, args)
     return EXIT_OK
 
@@ -179,7 +185,7 @@ def cmd_bracket(args) -> int:
 def cmd_gvh(args) -> int:
     from .certify import gvh_certificate
 
-    H = _poly_arg(args.H, args.d)
+    H, h_text = _poly_arg(args.H, args.d)
     # one kernel call per m whose witness order 2m + 3 is at most deg H
     check_shifted_terms(H, len(range(3, min(H.degree(), 2 * args.max_m + 3) + 1, 2)))
     results = []
@@ -190,15 +196,14 @@ def cmd_gvh(args) -> int:
             entry["failing_order"] = cert.failing_order
             entry["witness"] = poly_json(cert.witness)
         results.append(entry)
-    emit_json({"command": "gvh", "d": args.d, "H": pretty(parse_symbol(args.H)),
-               "results": results}, args)
+    emit_json({"command": "gvh", "d": args.d, "H": h_text, "results": results}, args)
     return EXIT_OK
 
 
 def cmd_mpc(args) -> int:
     from .certify import mpc_identity_check
 
-    H = _poly_arg(args.H, args.d)
+    H, h_text = _poly_arg(args.H, args.d)
     check_shifted_terms(H)
     rep = mpc_identity_check(H)
     result = {
@@ -213,16 +218,16 @@ def cmd_mpc(args) -> int:
     if rep.printed_c2_delta is not None:
         result["printed_c2_delta"] = poly_json(rep.printed_c2_delta)
         result["printed_c2_delta_vanishes"] = rep.printed_c2_delta.is_zero
-    emit_json({"command": "mpc", "d": args.d, "H": pretty(parse_symbol(args.H)),
-               "result": result}, args)
+    emit_json({"command": "mpc", "d": args.d, "H": h_text, "result": result}, args)
     return EXIT_OK
 
 
 def cmd_remainder(args) -> int:
-    from .grid import GridSpec, check_grid_bytes, remainder_scaling_scan
+    from .grid import GridSpec, check_grid_bytes, check_grid_work, remainder_scaling_scan
 
     spec = GridSpec(args.N, args.L, args.hbars_list[0])
     check_grid_bytes(spec.n)
+    check_grid_work(spec.n, len(args.hbars_list))
     res = remainder_scaling_scan(_eval_arg(args.A), _eval_arg(args.B),
                                  args.orders_list, args.hbars_list, spec)
     if args.format == "csv":
@@ -266,6 +271,9 @@ def cmd_quantize(args) -> int:
     mask = sym.spec.interior_mask()
     err = float(np.max(np.abs((sym.samples - ref.samples)[mask])))
     scale = float(np.max(np.abs(ref.samples[mask])))
+    if scale > 0 and err / scale > args.tol:
+        return _fail(EXIT_TOLERANCE, f"round-trip error {err:.3g} of scale {scale:.3g} exceeds "
+                                     f"--tol {args.tol:g}")
     if args.save:
         save_operator(M, args.save)
     payload = {"command": "quantize",
@@ -276,8 +284,6 @@ def cmd_quantize(args) -> int:
                           "roundtrip_scale": scale,
                           "saved": bool(args.save)}}
     emit_json(payload, args)
-    if scale > 0 and err / scale > args.tol:
-        return EXIT_TOLERANCE
     return EXIT_OK
 
 
@@ -285,18 +291,18 @@ def cmd_egorov(args) -> int:
     from .grid import GridSpec
     from .weylop import check_run_bytes, egorov_compare
 
-    H = _poly_arg(args.H, 1)
+    H, h_text = _poly_arg(args.H, 1)
     if H.degree() > 2:
         raise ExprError("egorov requires deg H <= 2", 0)
     grid = GridSpec(args.Nx, args.L, args.hbar)
     check_run_bytes(grid.n, evolve=True)
     rep = egorov_compare(_eval_arg(args.A), H, args.t, grid)
+    if rep["relative_mismatch"] > args.tol:
+        return _fail(EXIT_TOLERANCE, f"relative mismatch {rep['relative_mismatch']:.3g} exceeds "
+                                     f"--tol {args.tol:g}")
     emit_json({"command": "egorov",
                "grid": {"Nx": grid.n, "L": grid.box, "hbar": grid.hbar},
-               "H": pretty(parse_symbol(args.H)), "t": args.t,
-               "result": rep}, args)
-    if rep["relative_mismatch"] > args.tol:
-        return EXIT_TOLERANCE
+               "H": h_text, "t": args.t, "result": rep}, args)
     return EXIT_OK
 
 
@@ -309,7 +315,7 @@ def cmd_coherent(args) -> int:
     from .weylop import check_run_bytes, coherent_state, expectation, quantize_kernel
 
     check_run_bytes(args.Nx)
-    y, eta = _num_list(args.Y)
+    y, eta = args.Y
     ev = _eval_arg(args.A)
     rows = []
     errs = []
@@ -353,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, d=True):
         sp.add_argument("--out", help="write output to a file instead of stdout")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
         if d:
             sp.add_argument("--d", type=int, default=1, help="phase-space dimension")
 
@@ -395,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hbars", required=True)
     sp.add_argument("--N", type=int, default=64)
     sp.add_argument("--L", type=float, default=8.0)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     common(sp, d=False)
     sp.set_defaults(func=cmd_remainder)
 
@@ -450,13 +456,26 @@ def main(argv=None) -> int:
             args.orders_list = _num_list(args.orders, int)
             if not args.orders_list:
                 raise ValueError("--orders needs at least one value")
+        if hasattr(args, "Y"):
+            args.Y = _num_list(args.Y)
+            if len(args.Y) != 2 or not all(map(math.isfinite, args.Y)):
+                raise ValueError("--Y needs two finite numbers y,eta")
+        if not math.isfinite(getattr(args, "t", 0.0)):
+            raise ValueError("--t must be finite")
+        if not 0 <= getattr(args, "tol", 0.0) < math.inf:
+            raise ValueError("--tol must be finite and >= 0")
         if getattr(args, "max_m", 0) < 0:
             raise ValueError("--max-m must be >= 0")
         if getattr(args, "max_m", 0) > MAX_TRUNCATION_ORDER:
             raise ValueError(f"--max-m must be at most {MAX_TRUNCATION_ORDER}: every H within the "
                              f"degree cap of {MAX_EXACT_DEGREE} is Equal from there on")
         calibration_check(1)
-        return args.func(args)
+        if args.cmd in ("star", "bracket", "gvh", "mpc") and getattr(args, "mode", "") != "grid":
+            return args.func(args)      # exact handlers never load numpy
+        import numpy as np
+
+        with np.errstate(over="raise", invalid="raise"):    # exits 2, as FloatingPointError
+            return args.func(args)
     except (ExprError, ValueError, OSError) as exc:
         return _fail(EXIT_CONFIG, str(exc))
     except MemoryError as exc:

@@ -1,11 +1,9 @@
 """Symbol expressions for the command line.
 
-Grammar (recursive descent, ^ binds tighter than *, which binds tighter
-than + and -; all binary operators left-associative; no implicit
-multiplication):
+Grammar (recursive descent; ^ binds tighter than *, which binds tighter
+than + and -; no implicit multiplication):
 
-    expr    := term (('+' | '-') term)*
-    term    := factor ('*' factor)*
+    expr    := factor (BINOP factor)*    BINOP: '+' '-' (level 1), '*' (level 2)
     factor  := '-' factor | power
     power   := atom ('^' INT)*
     atom    := INT ('/' INT)?            rational literal
@@ -15,10 +13,20 @@ multiplication):
              | '(' expr ')'
 
 The slash appears only inside rational literals; there is no division
-operator.  Exponents are non-negative integer literals.  Expressions lower
-either to exact `PolySymbol`s (no gauss factors allowed) or to numeric
-`SymbolEvaluator`s (d = 1, at most one gauss factor per product term, one
-atom per distinct gauss rate).
+operator.  Exponents are non-negative integer literals.  Every binary
+operator is one node, `Bin(op, left, right)`, built by one precedence
+loop: the right operand of a level-k operator takes only operators above
+level k, so all are left-associative.
+
+One walk lowers an expression exactly to {gauss rate or None: PolySymbol},
+once its size bounds are within the exact caps.  `lower_poly` refuses every
+gauss factor and returns the one exact `PolySymbol`; `lower_evaluator`
+(d = 1, at most one gauss factor per product term) turns each rate into
+one atom of a numeric `SymbolEvaluator`.  A power takes one exact product
+per unit of its exponent, not repeated squaring: multiplying the partial
+power by its base, which has few terms, costs less than squaring a dense
+partial power, and `gauss(a)^k` meets the same one-gauss-per-term check as
+any product.
 """
 
 from __future__ import annotations
@@ -66,19 +74,8 @@ class Neg(Node):
 
 
 @dataclass(frozen=True)
-class Add(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Sub(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Mul(Node):
+class Bin(Node):
+    op: str         # '+', '-' or '*'
     left: Node
     right: Node
 
@@ -91,25 +88,19 @@ class Pow(Node):
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 
+_LEVEL = {"+": 1, "-": 1, "*": 2}       # binding strength of each binary operator
+
 _VAR = re.compile(r"^(x|xi|y|eta)([1-9][0-9]*)?$|^hbar$")
 
 
 def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
+    tokens, pos, stop = [], 0, len(text.rstrip())
+    while pos < stop:
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ExprError(f"unexpected character {stripped[0]!r}", pos)
-        if m.group(1):
-            tokens.append(("int", m.group(1), m.start(1)))
-        elif m.group(2):
-            tokens.append(("name", m.group(2), m.start(2)))
-        else:
-            tokens.append(("op", m.group(3), m.start(3)))
+        if not m:
+            raise ExprError(f"unexpected character {text[pos:].lstrip()[0]!r}", pos)
+        k = m.lastindex     # the one group that matched: 1 int, 2 name, 3 operator
+        tokens.append((("int", "name", "op")[k - 1], m.group(k), m.start(k)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -117,7 +108,6 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -129,6 +119,13 @@ class _Parser:
         self.i += 1
         return tok
 
+    def take(self, op: str) -> bool:
+        """Consume the next token if it is the operator `op`."""
+        if self.peek()[:2] == ("op", op):
+            self.i += 1
+            return True
+        return False
+
     def expect_op(self, op: str):
         kind, val, pos = self.next()
         if kind != "op" or val != op:
@@ -136,81 +133,55 @@ class _Parser:
         return pos
 
     def parse(self) -> Node:
-        node = self.expr()
+        node = self.binary()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ExprError(f"trailing input {val!r}", pos)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                right = self.term()
-                cls = Add if val == "+" else Sub
-                node = cls((node.span[0], right.span[1]), node, right)
-            else:
-                return node
-
-    def term(self) -> Node:
+    def binary(self, level: int = 1) -> Node:
+        """Binary operators of `level` and above, left-associative: the right operand of
+        an operator takes only the operators that bind tighter than it."""
         node = self.factor()
         while True:
             kind, val, pos = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                right = self.factor()
-                node = Mul((node.span[0], right.span[1]), node, right)
-            else:
+            op_level = _LEVEL.get(val, 0) if kind == "op" else 0
+            if op_level < level:
                 return node
+            self.next()
+            right = self.binary(op_level + 1)
+            node = Bin((node.span[0], right.span[1]), val, node, right)
 
     def factor(self) -> Node:
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
+        pos = self.peek()[2]
+        if self.take("-"):
             arg = self.factor()
             return Neg((pos, arg.span[1]), arg)
         return self.power()
 
     def power(self) -> Node:
         node = self.atom()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "^":
-                self.next()
-                ekind, eval_, epos = self.next()
-                if ekind != "int":
-                    raise ExprError("exponent must be a non-negative integer", epos)
-                node = Pow((node.span[0], epos + len(eval_)), node, int(eval_))
-            else:
-                return node
+        while self.take("^"):
+            kind, val, pos = self.next()
+            if kind != "int":
+                raise ExprError("exponent must be a non-negative integer", pos)
+            node = Pow((node.span[0], pos + len(val)), node, int(val))
+        return node
 
     def rational(self) -> tuple[Fraction, tuple]:
-        neg = False
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            neg = True
-        kind, val, pos = self.next()
+        neg = self.take("-")
+        kind, val, start = self.next()
         if kind != "int":
-            raise ExprError("expected an integer", pos)
-        start = pos
-        num = int(val)
-        den = 1
-        kind, val2, pos2 = self.peek()
-        end = pos + len(val)
-        if kind == "op" and val2 == "/":
-            self.next()
-            dkind, dval, dpos = self.next()
-            if dkind != "int":
-                raise ExprError("expected a denominator integer", dpos)
-            den = int(dval)
+            raise ExprError("expected an integer", start)
+        num, den, end = int(val), 1, start + len(val)
+        if self.take("/"):
+            kind, val, pos = self.next()
+            if kind != "int":
+                raise ExprError("expected a denominator integer", pos)
+            den, end = int(val), pos + len(val)
             if den == 0:
-                raise ExprError("zero denominator", dpos)
-            end = dpos + len(dval)
-        value = Fraction(-num if neg else num, den)
-        return value, (start, end)
+                raise ExprError("zero denominator", pos)
+        return Fraction(-num if neg else num, den), (start, end)
 
     def atom(self) -> Node:
         kind, val, pos = self.peek()
@@ -229,9 +200,8 @@ class _Parser:
             if not _VAR.match(val):
                 raise ExprError(f"unknown variable {val!r}", pos)
             return Var((pos, pos + len(val)), val)
-        if kind == "op" and val == "(":
-            self.next()
-            node = self.expr()
+        if self.take("("):
+            node = self.binary()
             self.expect_op(")")
             return node
         raise ExprError(f"expected a value, found {val or 'end of input'!r}", pos)
@@ -246,43 +216,35 @@ def pretty(node: Node) -> str:
     """Canonical rendering; parse(pretty(parse(s))) is a fixed point."""
 
     def wrap(n, level):
-        s = pretty(n)
-        return f"({s})" if {Add: 1, Sub: 1, Mul: 2, Neg: 3, Pow: 4}.get(type(n), 5) < level else s
+        own = _LEVEL[n.op] if isinstance(n, Bin) else {Neg: 3, Pow: 4}.get(type(n), 5)
+        return f"({pretty(n)})" if own < level else pretty(n)
 
     if isinstance(node, Lit):
-        v = node.value
-        if v < 0:
-            return f"-{-v.numerator}" if v.denominator == 1 else f"-{-v.numerator}/{v.denominator}"
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return str(node.value)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Gauss):
-        r = node.rate
-        inner = str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
-        return f"gauss({inner})"
+        return f"gauss({node.rate})"
     if isinstance(node, Neg):
         return "-" + wrap(node.arg, 3)
-    if isinstance(node, Add):
-        return f"{wrap(node.left, 1)} + {wrap(node.right, 2)}"
-    if isinstance(node, Sub):
-        return f"{wrap(node.left, 1)} - {wrap(node.right, 2)}"
-    if isinstance(node, Mul):
-        return f"{wrap(node.left, 2)}*{wrap(node.right, 3)}"
+    if isinstance(node, Bin):
+        level = _LEVEL[node.op]
+        sep = "*" if node.op == "*" else f" {node.op} "
+        return f"{wrap(node.left, level)}{sep}{wrap(node.right, level + 1)}"
     if isinstance(node, Pow):
         return f"{wrap(node.base, 5)}^{node.exponent}"
     raise TypeError(f"unknown node {node!r}")
 
 
-def _var_target(name: str, d: int) -> tuple[str, int]:
-    if name == "hbar":
+def _var_target(n: Var, d: int) -> tuple[str, int]:
+    if n.name == "hbar":
         return "hbar", 0
-    m = _VAR.match(name)
-    block = m.group(1)
-    axis = int(m.group(2)) - 1 if m.group(2) else 0
-    if d == 1 and m.group(2):
-        raise ExprError(f"indexed variable {name!r} in dimension 1", 0)
+    block, index = _VAR.match(n.name).groups()
+    if d == 1 and index:
+        raise ExprError(f"indexed variable {n.name!r} in dimension 1", n.span[0])
+    axis = int(index) - 1 if index else 0
     if axis >= d:
-        raise ExprError(f"variable {name!r} exceeds dimension {d}", 0)
+        raise ExprError(f"variable {n.name!r} exceeds dimension {d}", n.span[0])
     return block, axis
 
 
@@ -319,7 +281,7 @@ def size_bound(n: Node, nvars: int) -> tuple[int, int, int, int]:
         return size_bound(n.arg, nvars)
     if isinstance(n, Lit):
         return 0, 1, abs(n.value.numerator).bit_length(), n.value.denominator.bit_length()
-    if not isinstance(n, (Add, Sub, Mul, Pow)):
+    if not isinstance(n, (Bin, Pow)):
         return int(isinstance(n, Var)), 1, 1, 1
     if isinstance(n, Pow):
         deg, t, nb, db = size_bound(n.base, nvars)
@@ -329,7 +291,7 @@ def size_bound(n: Node, nvars: int) -> tuple[int, int, int, int]:
         terms = monomials if t > 1 and n.exponent >= monomials.bit_length() else t ** n.exponent
         return deg, min(terms, monomials), k * nb + (k - 1) * (t - 1).bit_length(), k * db
     (g1, t1, n1, d1), (g2, t2, n2, d2) = size_bound(n.left, nvars), size_bound(n.right, nvars)
-    if isinstance(n, Mul):
+    if n.op == "*":
         deg, terms, nb = g1 + g2, t1 * t2, n1 + n2 + (min(t1, t2) - 1).bit_length()
     else:
         deg, terms, nb = max(g1, g2), t1 + t2, max(n1 + d2, n2 + d1) + 1
@@ -375,54 +337,9 @@ def check_shifted_terms(H: PolySymbol, calls: int = 1) -> None:
                          f"{MAX_SHIFTED_TERMS}")
 
 
-def lower_poly(node: Node, d: int = 1, allow_y: bool = False,
-               allow_hbar: bool = False) -> PolySymbol:
-    """Lower to an exact PolySymbol; gauss factors are rejected here, and so are
-    degree and coefficient-size bounds above their caps."""
-    check_dimension(d)
-    shape = Shape(d, allow_y, allow_hbar)
-    exact_terms_bound(node, shape.nvars)
-
-    def go(n):
-        if isinstance(n, Lit):
-            return PolySymbol.const(shape, CRational(n.value))
-        if isinstance(n, Var):
-            block, axis = _var_target(n.name, d)
-            if block in ("y", "eta") and not allow_y:
-                raise ExprError(f"test-point variable {n.name!r} not allowed here", n.span[0])
-            if block == "hbar":
-                if not allow_hbar:
-                    raise ExprError("hbar not allowed here", n.span[0])
-                return PolySymbol.var(shape, "hbar")
-            return PolySymbol.var(shape, block, axis)
-        if isinstance(n, Gauss):
-            raise ExprError("gauss envelope requires a numeric context", n.span[0])
-        if isinstance(n, Neg):
-            return -go(n.arg)
-        if isinstance(n, Add):
-            return go(n.left) + go(n.right)
-        if isinstance(n, Sub):
-            return go(n.left) - go(n.right)
-        if isinstance(n, Mul):
-            return go(n.left) * go(n.right)
-        if isinstance(n, Pow):
-            return go(n.base) ** n.exponent
-        raise TypeError(f"unknown node {n!r}")
-
-    return go(node)
-
-
-def lower_evaluator(node: Node):
-    """Lower to a numeric SymbolEvaluator (d = 1, one gauss per product term).
-
-    The expression lowers exactly to {gauss rate or None: PolySymbol}, so
-    like terms merge and the evaluator has one atom per distinct rate.
-    Degree and coefficient-size bounds above the exact caps are refused
-    before any power expands.
-    """
-    from .evaluators import SymbolEvaluator
-
-    shape = Shape(1)
+def _lower(node: Node, shape: Shape, leaf) -> dict:
+    """`node` lowered exactly to {gauss rate or None: PolySymbol} (see the module docstring);
+    `leaf` lowers its Var and Gauss nodes by the rules of the caller's context."""
     exact_terms_bound(node, shape.nvars)
 
     def plus(f, g):
@@ -443,31 +360,67 @@ def lower_evaluator(node: Node):
     def go(n):
         if isinstance(n, Lit):
             return {None: PolySymbol.const(shape, CRational(n.value))}
-        if isinstance(n, Var):
-            block, axis = _var_target(n.name, 1)
-            if block in ("y", "eta", "hbar"):
-                raise ExprError(f"variable {n.name!r} not allowed in a grid symbol", n.span[0])
-            return {None: PolySymbol.var(shape, block, axis)}
-        if isinstance(n, Gauss):
-            return {n.rate: PolySymbol.const(shape, 1)}
+        if isinstance(n, (Var, Gauss)):
+            return leaf(n)
         if isinstance(n, Neg):
             return {r: -p for r, p in go(n.arg).items()}
-        if isinstance(n, Add):
-            return plus(go(n.left), go(n.right))
-        if isinstance(n, Sub):
-            return plus(go(n.left), {r: -p for r, p in go(n.right).items()})
-        if isinstance(n, Mul):
-            return times(go(n.left), go(n.right), n.span[0])
         if isinstance(n, Pow):
-            base = go(n.base)
-            out = {None: PolySymbol.const(shape, 1)}
+            base, out = go(n.base), {None: PolySymbol.const(shape, 1)}
             for _ in range(n.exponent):
                 out = times(out, base, n.span[0])
             return out
+        if isinstance(n, Bin):
+            f, g = go(n.left), go(n.right)
+            if n.op == "*":
+                return times(f, g, n.span[0])
+            return plus(f, g if n.op == "+" else {r: -p for r, p in g.items()})
         raise TypeError(f"unknown node {n!r}")
 
+    return go(node)
+
+
+def lower_poly(node: Node, d: int = 1, allow_y: bool = False,
+               allow_hbar: bool = False) -> PolySymbol:
+    """Lower to an exact PolySymbol; gauss factors are rejected here, and so are
+    degree and coefficient-size bounds above their caps."""
+    check_dimension(d)
+    shape = Shape(d, allow_y, allow_hbar)
+
+    def leaf(n):
+        if isinstance(n, Gauss):
+            raise ExprError("gauss envelope requires a numeric context", n.span[0])
+        block, axis = _var_target(n, d)
+        if block in ("y", "eta") and not allow_y:
+            raise ExprError(f"test-point variable {n.name!r} not allowed here", n.span[0])
+        if block == "hbar" and not allow_hbar:
+            raise ExprError("hbar not allowed here", n.span[0])
+        return {None: PolySymbol.var(shape, block, axis)}
+
+    return _lower(node, shape, leaf)[None]
+
+
+def lower_evaluator(node: Node):
+    """Lower to a numeric SymbolEvaluator (d = 1, one gauss per product term).
+
+    The expression lowers exactly to {gauss rate or None: PolySymbol}, so
+    like terms merge and the evaluator has one atom per distinct rate.
+    Degree and coefficient-size bounds above the exact caps are refused
+    before any power expands.
+    """
+    from .evaluators import SymbolEvaluator
+
+    shape = Shape(1)
+
+    def leaf(n):
+        if isinstance(n, Gauss):
+            return {n.rate: PolySymbol.const(shape, 1)}
+        block, axis = _var_target(n, 1)
+        if block in ("y", "eta", "hbar"):
+            raise ExprError(f"variable {n.name!r} not allowed in a grid symbol", n.span[0])
+        return {None: PolySymbol.var(shape, block, axis)}
+
     ev = SymbolEvaluator.zero()
-    for rate, poly in go(node).items():
+    for rate, poly in _lower(node, shape, leaf).items():
         piece = SymbolEvaluator.from_polysymbol(poly)
         if rate is not None:
             piece = piece * SymbolEvaluator.gauss(float(rate))

@@ -34,6 +34,7 @@ from .evaluators import SymbolEvaluator
 BOUNDARY_DECAY = 1e-12
 ORACLE_TOL = 1e-6
 RUN_BYTES_CAP = 4 << 30  # largest estimated peak of a grid or operator run; admits every N <= 4096
+GRID_WORK_CAP = 10 * 1024 ** 3  # N^3 log2 N summed over the star products of one run: one at N = 1024
 MAX_SERIES_ORDER = 170   # the weights 1/(a! b!), a + b = j, of C_j are floats up to j = 170
 
 
@@ -136,6 +137,17 @@ def check_grid_bytes(n: int) -> int:
         raise ValueError(f"N = {n} needs about {need / 2 ** 30:.1f} GiB, above the "
                          f"{RUN_BYTES_CAP >> 30} GiB cap of a grid run")
     return need
+
+
+def check_grid_work(n: int, products: int = 1) -> int:
+    """Work estimate of `products` star products at N = n, products · N^3 log2 N (the mode sum
+    of `star_grid`); ValueError above GRID_WORK_CAP, before anything is sampled."""
+    work = products * n ** 3 * (n.bit_length() - 1)
+    if work > GRID_WORK_CAP:
+        raise ValueError(f"N = {n} with {products} star product(s) needs about {work:.2e} grid "
+                         f"operations (N^3 log2 N each), above the cap of {GRID_WORK_CAP:.2e}, "
+                         f"one product at N = 1024")
+    return work
 
 
 def star_grid(A: GridSymbol, B: GridSymbol) -> GridSymbol:

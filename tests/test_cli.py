@@ -355,6 +355,150 @@ def test_grid_argv_fuzz(argv):
     assert (rc == 0) == bool(out.getvalue())
 
 
+# operator runs: at most one option malformed, non-finite, huge or a list of the wrong length
+OPERATOR_BAD_VALUES = {"Nx": [0, -16, 48, 100, 16384, "1e3"], "L": ["nan", "inf", "0", "-8", "1e300"],
+                       "hbar": ["nan", "inf", "0", "-1", "1e300"],
+                       "hbars": ["", ",", "-0.5", "0.5,-0.25", "nan,0.5", "inf", "1e300"],
+                       "Y": ["", "1", "1,0.5,2", "nan,0", "1,inf", "1e308,0", "1,x"],
+                       "t": ["nan", "inf", "-inf", "1e300", "x"],
+                       "tol": ["nan", "inf", "-1", "1e308", "x"]}
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in the output")
+
+
+@st.composite
+def operator_argv(draw):
+    """A `quantize`, `egorov` or `coherent` argv: valid numbers (Nx <= 64) and boundary-quiet
+    symbols, with at most one field replaced by a malformed or huge value."""
+    cmd = draw(st.sampled_from(["quantize", "egorov", "coherent"]))
+    fields = {"A": draw(st.sampled_from(QUIET_SYMBOLS)), "Nx": draw(st.sampled_from([32, 64])),
+              "L": "8"}
+    if cmd == "coherent":
+        fields.update(Y=draw(st.sampled_from(["1,0.5", "-0.5,0"])), hbars="0.5,0.25")
+    else:
+        fields.update(hbar=draw(st.sampled_from(["1", "0.5"])),
+                      tol=draw(st.sampled_from(["1e-5", "0.1"])))
+    if cmd == "egorov":
+        fields.update(H=draw(st.sampled_from(["1/2*x^2 + 1/2*xi^2", "x*xi", "xi^2"])),
+                      t=draw(st.sampled_from(["0.5", "-0.25"])))
+    bad = draw(st.one_of(st.none(), st.sampled_from([f for f in OPERATOR_BAD_VALUES if f in fields])))
+    if bad:
+        fields[bad] = draw(st.sampled_from(OPERATOR_BAD_VALUES[bad]))
+    return [cmd] + [f"--{k}={v}" for k, v in fields.items()]
+
+
+@given(operator_argv())
+def test_operator_argv_fuzz(argv):
+    # a success prints finite JSON; a failure prints one stderr line and nothing on stdout
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:      # argparse refuses a malformed option value
+            rc = exc.code
+    assert time.perf_counter() - start < 5.0
+    assert rc in (0, 1, 2, 3)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if rc == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
+    else:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["coherent", "--A", "x^2", "--Y", "1e308,0", "--hbars", "0.5", "--Nx", "16"], 2,
+     "floating-point failure: overflow encountered in "),
+    (["coherent", "--A", "x^2", "--Y", "1,0.5,2", "--hbars", "0.5", "--Nx", "16"], 1,
+     "--Y needs two finite numbers y,eta"),
+    (["egorov", "--A", "x*gauss(1/4)", "--H", "x^2", "--t", "1e300", "--Nx", "16"], 2,
+     "floating-point failure: overflow encountered in "),
+    (["quantize", "--A", "gauss(1)", "--tol", "nan", "--Nx", "16"], 1,
+     "--tol must be finite and >= 0"),
+    (["egorov", "--A", "x*gauss(1/4)", "--H", "x^2", "--t", "nan", "--Nx", "16"], 1,
+     "--t must be finite"),
+], ids=["coherent-huge-Y", "coherent-three-Y", "egorov-huge-t", "quantize-nan-tol", "egorov-nan-t"])
+def test_operator_inputs_exit_with_one_line(capsys, argv, code, message):
+    # numpy overflow and invalid operations are errors, not warnings, and bad numbers are
+    # refused before any work
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", UserWarning)    # Nx = 16 reaches the momentum band edge
+        assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith(f"moyal-lab: {message}")
+
+
+def test_tolerance_failure_prints_one_line_and_no_report(capsys):
+    assert cli.main(["quantize", "--A", "gauss(1)", "--Nx", "32", "--L", "6"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        "moyal-lab: round-trip error 2.45e-05 of scale 1 exceeds --tol 1e-05"]
+
+
+def test_nonfinite_payload_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(moyal_lab.grid.GridSymbol, "interior_sup", lambda self: float("nan"))
+    rc = cli.main(["star", "--mode", "grid", "--A", "gauss(1)", "--B", "gauss(1)", "--N", "16",
+                   "--L", "6"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("moyal-lab: floating-point failure: Out of range float values")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["star", "--A", "x", "--B", "xi"], ["bracket", "--A", "x", "--H", "xi"], ["gvh", "--H", "x^3"],
+    ["mpc", "--H", "x^3"], ["quantize", "--A", "gauss(1)"],
+    ["egorov", "--A", "x*gauss(1/4)", "--H", "x^2", "--t", "0.5"],
+    ["coherent", "--A", "x^2", "--Y", "1,0.5", "--hbars", "0.5"],
+], ids=lambda argv: argv[0])
+def test_format_is_a_remainder_option_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--format", "csv"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    assert err.splitlines() == ["moyal-lab: error: unrecognized arguments: --format csv"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_remainder_accepts_format(capsys, fmt):
+    argv = ["remainder", "--A", "gauss(1)", "--B", "x*gauss(1)", "--orders", "1",
+            "--hbars", "0.4,0.2", "--N", "32", "--L", "6", "--format", fmt]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    if fmt == "csv":
+        assert out.splitlines()[0] == "order,hbar,sup_norm"
+    else:
+        assert json.loads(out)["command"] == "remainder"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["star", "--mode", "grid", "--A", "gauss(1)", "--B", "gauss(1)", "--N", "4096"],
+     "N = 4096 with 1 star product(s) needs about 8.25e+11 grid operations (N^3 log2 N each), "
+     "above the cap of 1.07e+10, one product at N = 1024"),
+    (["star", "--mode", "grid", "--A", "gauss(1)", "--B", "gauss(1)", "--N", "2048"],
+     "N = 2048 with 1 star product(s) needs about 9.45e+10 grid operations (N^3 log2 N each), "
+     "above the cap of 1.07e+10, one product at N = 1024"),
+    (["remainder", "--A", "gauss(1)", "--B", "gauss(1)", "--orders", "1", "--hbars", "0.5,0.25",
+      "--N", "1024"],
+     "N = 1024 with 2 star product(s) needs about 2.15e+10 grid operations (N^3 log2 N each), "
+     "above the cap of 1.07e+10, one product at N = 1024"),
+], ids=["star-4096", "star-2048", "remainder-1024"])
+def test_grid_runs_beyond_the_work_cap_exit_before_sampling(monkeypatch, capsys, argv, message):
+    # star_grid costs O(N^3 log N): the memory cap admits N = 4096, the work cap does not
+    calls = _sample_calls(monkeypatch)
+    start = time.perf_counter()
+    assert cli.main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [f"moyal-lab: {message}"] and calls == []
+
+
 # exact operands: malformed text, inputs the caps refuse for every subcommand, operand pairs
 # refused by the pair caps, and one-operand inputs near and above the shifted-term cap
 MALFORMED_EXPRS = ["", "x +", "(x", "x^-1", "x^^2", "2/0", "gauss(1)", "eta", "hbar", "xi0", "q",

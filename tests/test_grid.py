@@ -6,10 +6,10 @@ import pytest
 
 import moyal_lab.grid
 from moyal_lab.evaluators import SymbolEvaluator, window
-from moyal_lab.grid import (RUN_BYTES_CAP, GridSpec, GridSymbol, _check_specs, check_grid_bytes,
-                            cj_grid, moyal_bracket_grid, poisson_bracket_grid, remainder_grid,
-                            remainder_scaling_scan, sample, star_grid,
-                            star_quadrature_point, symplectic_fourier)
+from moyal_lab.grid import (GRID_WORK_CAP, RUN_BYTES_CAP, GridSpec, GridSymbol, _check_specs,
+                            check_grid_bytes, check_grid_work, cj_grid, moyal_bracket_grid,
+                            poisson_bracket_grid, remainder_grid, remainder_scaling_scan, sample,
+                            star_grid, star_quadrature_point, symplectic_fourier)
 from moyal_lab.gridio import load_grid_symbol, save_grid_symbol
 
 
@@ -157,6 +157,16 @@ def test_grid_run_estimate_refuses_above_the_cap():
     assert check_grid_bytes(4096) <= RUN_BYTES_CAP
     with pytest.raises(ValueError, match="N = 8192 needs about 11.0 GiB"):
         check_grid_bytes(8192)
+
+
+def test_grid_work_estimate_admits_one_product_at_1024():
+    # products x N^3 log2 N: one product at N = 1024, or eight at N = 512, and no more
+    assert check_grid_work(1024) == GRID_WORK_CAP
+    assert check_grid_work(512, 8) < GRID_WORK_CAP < 9 * check_grid_work(512)
+    assert check_grid_work(128, 4) == 4 * 128 ** 3 * 7
+    for n, products in [(2048, 1), (1024, 2), (512, 9)]:
+        with pytest.raises(ValueError, match=f"N = {n} with {products} star product"):
+            check_grid_work(n, products)
 
 
 @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])

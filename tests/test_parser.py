@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from moyal_lab.evaluators import SymbolEvaluator
 from moyal_lab.exprparse import (MAX_COEFFICIENT_BITS, MAX_EXACT_DEGREE, MAX_EXACT_PAIRS, ExprError,
                                  check_exact_pair, degree_bound, lower_evaluator, lower_poly,
                                  parse_symbol, pretty, size_bound)
@@ -38,6 +40,14 @@ def test_dimension_two_variables():
         lower_poly(parse_symbol("x3"), d=2)
     with pytest.raises(ExprError):
         lower_poly(parse_symbol("x1"), d=1)
+
+
+@pytest.mark.parametrize("text, d, pos", [("x + x3", 2, 4), ("xi + x1", 1, 5)],
+                         ids=["exceeds-dimension", "indexed-in-dimension-one"])
+def test_variable_errors_point_at_the_variable(text, d, pos):
+    with pytest.raises(ExprError) as err:
+        lower_poly(parse_symbol(text), d=d)
+    assert err.value.pos == pos and str(err.value).endswith(f"(at position {pos})")
 
 
 def test_syntax_errors_have_positions():
@@ -181,3 +191,39 @@ def test_check_exact_pair_reads_both_operands():
     check_exact_pair(parse_symbol("(x + xi)^40"), parse_symbol("(x + 2*xi)^40"), 1)
     with pytest.raises(ValueError, match=f"term-pair estimate .* cap of {MAX_EXACT_PAIRS}"):
         check_exact_pair(parse_symbol("(x1 + xi1 + x2 + xi2 + 1)^20"), parse_symbol("(x1 + 1)^20"), 2)
+
+
+def expr_trees(d: int, depth: int = 3):
+    """(text, polynomial) pairs: a random expression tree in dimension d, rendered fully
+    parenthesized and built directly with the PolySymbol operators."""
+    shape = Shape(d)
+    names = ["x", "xi"] if d == 1 else [f"{b}{k}" for b in ("x", "xi") for k in range(1, d + 1)]
+    variables = {n: PolySymbol.var(shape, n.rstrip("0123456789"), int(n[-1]) - 1 if d > 1 else 0)
+                 for n in names}
+    trees = st.one_of(st.sampled_from(names).map(lambda n: (n, variables[n])),
+                      st.builds(Fraction, st.integers(0, 9), st.integers(1, 6))
+                      .map(lambda q: (str(q), PolySymbol.const(shape, q))))
+    ops = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}
+    for _ in range(depth):
+        sub = trees
+        trees = st.one_of(
+            st.tuples(st.sampled_from(sorted(ops)), sub, sub)
+            .map(lambda t: (f"({t[1][0]}) {t[0]} ({t[2][0]})", ops[t[0]](t[1][1], t[2][1]))),
+            st.tuples(sub, st.integers(0, 3)).map(lambda t: (f"({t[0][0]})^{t[1]}", t[0][1] ** t[1])),
+            sub.map(lambda a: (f"-({a[0]})", -a[1])),
+            sub)
+    return trees
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), expr_trees(d))))
+def test_one_lowering_walk_matches_the_polysymbol_operators(case):
+    d, (text, expected) = case
+    node = parse_symbol(text)
+    assert lower_poly(node, d=d) == expected
+    assert lower_poly(parse_symbol(pretty(node)), d=d) == lower_poly(node, d=d)
+    if d == 1:
+        # the numeric lowering: one atom of the same coefficient array (none for zero)
+        atoms = lower_evaluator(parse_symbol(f"({text})*gauss(1)")).atoms
+        want = SymbolEvaluator.from_polysymbol(expected).atoms
+        assert len(atoms) == len(want) == (0 if expected.is_zero else 1)
+        assert all(np.array_equal(a.poly, w.poly) for a, w in zip(atoms, want))
