@@ -84,8 +84,12 @@ def emit_json(payload: dict, args) -> None:
     _write(text, args)
 
 
-def emit_csv(lines: list[str], args) -> None:
-    _write("\n".join(lines) + "\n", args)
+def emit_csv(rows: list[tuple], args) -> None:
+    """Comma-separated rows; a float cell is written by `fmt` and must be finite."""
+    if any(isinstance(v, float) and not math.isfinite(v) for row in rows for v in row):
+        raise FloatingPointError("non-finite value in the CSV output")
+    _write("".join(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+                   for row in rows), args)
 
 
 def _write(text: str, args) -> None:
@@ -231,14 +235,10 @@ def cmd_remainder(args) -> int:
     res = remainder_scaling_scan(_eval_arg(args.A), _eval_arg(args.B),
                                  args.orders_list, args.hbars_list, spec)
     if args.format == "csv":
-        lines = ["order,hbar,sup_norm"]
-        for order, h, sup in res["rows"]:
-            lines.append(f"{order},{fmt(h)},{fmt(sup)}")
-        lines.append("order,slope,")
-        for order in args.orders_list:
-            slope = res["slopes"][order]
-            lines.append(f"{order},{'exact-within-noise' if slope is None else fmt(slope)},")
-        emit_csv(lines, args)
+        slopes = res["slopes"]
+        emit_csv([("order", "hbar", "sup_norm"), *res["rows"], ("order", "slope", ""),
+                  *[(o, "exact-within-noise" if slopes[o] is None else slopes[o], "")
+                    for o in args.orders_list]], args)
     else:
         emit_json({"command": "remainder",
                    "grid": {"N": args.N, "L": args.L},
@@ -442,11 +442,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    import warnings
+
     threads = os.environ.get("MOYAL_LAB_THREADS") or "1"
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, threads)
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a failure prints its one line only; a success shows the warnings its run raised
+    with warnings.catch_warnings(record=True) as caught:
+        code = _run(args)
+    if code == EXIT_OK:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return code
+
+
+def _run(args) -> int:
+    """The handler of `args`, with every failure mapped to its exit code and one line."""
     try:
         if hasattr(args, "hbars"):
             args.hbars_list = _num_list(args.hbars)

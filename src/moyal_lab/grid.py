@@ -36,6 +36,7 @@ ORACLE_TOL = 1e-6
 RUN_BYTES_CAP = 4 << 30  # largest estimated peak of a grid or operator run; admits every N <= 4096
 GRID_WORK_CAP = 10 * 1024 ** 3  # N^3 log2 N summed over the star products of one run: one at N = 1024
 MAX_SERIES_ORDER = 170   # the weights 1/(a! b!), a + b = j, of C_j are floats up to j = 170
+ROW_BLOCK = 64           # rows per block of `sample` and of weylop's operator kernels
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,9 +112,16 @@ def _check_specs(*gs: GridSymbol) -> GridSpec:
 
 
 def sample(f: SymbolEvaluator, spec: GridSpec) -> GridSymbol:
-    """Sample an evaluator; warns when the box boundary is not quiet."""
-    X, XI = spec.meshes()
-    vals = f(X, XI)
+    """Sample an evaluator; warns when the box boundary is not quiet.
+
+    Rows run in blocks of `ROW_BLOCK` into one preallocated output, so the
+    evaluator's transients are ROW_BLOCK x N arrays.  Each block is a slice
+    of the whole grid's meshes, so every value keeps its bits.
+    """
+    x = spec.axis()
+    vals = np.empty((spec.n, spec.n), dtype=complex)
+    for r0 in range(0, spec.n, ROW_BLOCK):
+        vals[r0:r0 + ROW_BLOCK] = f(*np.meshgrid(x[r0:r0 + ROW_BLOCK], x, indexing="ij"))
     frame = max(np.max(np.abs(vals[0, :])), np.max(np.abs(vals[:, 0])))
     if frame > BOUNDARY_DECAY and np.max(np.abs(vals)) > 0:
         warnings.warn(f"symbol magnitude {frame:.3e} on the box boundary "
@@ -127,10 +135,11 @@ def check_grid_bytes(n: int) -> int:
 
     The peak is star_grid beside both samples: 8 complex N x N arrays of its
     own (C, FB, phase, E, out and three work buffers) and 2 samples, plus 1
-    array of transients and 1 MiB of fixed-size state.  Sampling (the
-    meshes and about 5 arrays of evaluator transients beside one sample)
-    and the remainder series (the product, its partial sum and one C_j
-    with its spectral derivatives, beside both samples) stay below it.
+    array of transients and 1 MiB of fixed-size state.  Sampling (its
+    output and the evaluator transients of one ROW_BLOCK-row block beside
+    the other sample) and the remainder series (the product, its partial
+    sum and one C_j with its spectral derivatives, beside both samples)
+    stay below it.
     """
     need = 16 * n * n * 11 + (1 << 20)
     if need > RUN_BYTES_CAP:

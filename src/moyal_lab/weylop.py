@@ -14,8 +14,9 @@ Two quantization routes are implemented and cross-validated:
       K(x, y) = (2 pi hbar)^-1 Int e^{i (x - y) eta / hbar} A((x+y)/2, eta) d eta
   over the grid's own momentum lattice (a length-N transform per midpoint
   diagonal), giving M[i, j] = (1/N) sum_k A((x_i+x_j)/2, p_k) e^{2 pi i k (i-j)/N}.
-  Midpoint rows run in blocks of `ROW_BLOCK` = 64: O(N^2) memory, 24 N^2 +
-  256 ROW_BLOCK N bytes; `check_run_bytes` gives a run's peak before it starts.
+  Midpoint rows run in blocks of `ROW_BLOCK` = 64 (`grid.ROW_BLOCK`): O(N^2)
+  memory, 16 N^2 + 256 ROW_BLOCK N bytes; `check_run_bytes` gives a run's
+  peak before it starts.
 
 * `quantize_via_covariant` superposes Heisenberg translations weighted by
   the symplectic Fourier transform of the symbol (hbar = 1),
@@ -35,11 +36,10 @@ from math import pi
 import numpy as np
 
 from .evaluators import SymbolEvaluator
-from .grid import RUN_BYTES_CAP, GridSpec, GridSymbol, sample, symplectic_fourier
+from .grid import ROW_BLOCK, RUN_BYTES_CAP, GridSpec, GridSymbol, sample, symplectic_fourier
 from .polysym import PolySymbol
 
 NYQUIST_TAIL = 1e-8
-ROW_BLOCK = 64          # midpoint rows per block of quantize_kernel
 
 XGrid = GridSpec
 
@@ -123,16 +123,14 @@ def quantize_kernel(A: SymbolEvaluator, grid: GridSpec,
 
     The 2N - 1 midpoint rows run in blocks of `ROW_BLOCK`; a block samples
     ROW_BLOCK x W points, transforms its rows and scatters anti-diagonal
-    i + j = row into the output, found by one stable argsort of i + j.
-    Memory: 24 N^2 bytes (output, index order) + 256 ROW_BLOCK N bytes.
+    i + j = row into the output at indices in closed form.
+    Memory: 16 N^2 bytes (the output) + 256 ROW_BLOCK N bytes.
     A band-edge tail above `NYQUIST_TAIL` on the default path warns.
     """
     n = grid.n
     width = n if spectral else 2 * n
     p = grid.momenta() if spectral else grid.hbar * 2.0 * np.pi * np.fft.fftfreq(width, grid.step)
     mids = -grid.box + 0.5 * grid.step * np.arange(2 * n - 1)
-    order = np.argsort(np.add.outer(np.arange(n), np.arange(n)), axis=None, kind="stable")
-    bounds = np.cumsum(n - np.abs(np.arange(-n, n)))    # row r starts at order[bounds[r]]
     out = np.empty((n, n), dtype=complex)
     peak = edge = 0.0
     for r0 in range(0, 2 * n - 1, ROW_BLOCK):
@@ -142,9 +140,13 @@ def quantize_kernel(A: SymbolEvaluator, grid: GridSpec,
             peak = max(peak, float(np.max(np.abs(vals))))
             edge = max(edge, float(np.max(np.abs(vals[:, n]))))
         G = np.fft.ifft(vals, axis=1)                       # [midpoint, (i-j) mod W]
-        pos = order[bounds[r0]:bounds[r1]]
-        i, j = np.divmod(pos, n)
-        np.put(out, pos, G[i + j - r0, (i - j) % width])
+        # anti-diagonal i + j = r: i = max(0, r - n + 1) .. min(r, n - 1), flat index i (n - 1) + r
+        r = np.arange(r0, r1)
+        lo = np.maximum(r - n + 1, 0)
+        count = np.minimum(r, n - 1) - lo + 1
+        rr = np.repeat(r, count)
+        i = np.arange(rr.size) + np.repeat(lo - np.cumsum(count) + count, count)
+        np.put(out, i * (n - 1) + rr, G[rr - r0, (2 * i - rr) % width])
     M = OperatorMatrix(grid, out)
     if peak > 0 and edge / peak > NYQUIST_TAIL:
         warnings.warn(f"symbol tail fraction {edge / peak:.3e} at the momentum "
@@ -154,8 +156,11 @@ def quantize_kernel(A: SymbolEvaluator, grid: GridSpec,
 
 
 def _fourier_multiplier(n: int, mult: np.ndarray) -> np.ndarray:
-    """The periodic spectral operator with Fourier multiplier `mult`, as a matrix."""
-    return np.fft.ifft(np.fft.fft(np.eye(n), axis=0) * mult[:, None], axis=0)
+    """The periodic spectral operator with Fourier multiplier `mult`, as a matrix (one buffer)."""
+    F = np.eye(n, dtype=complex)
+    np.fft.fft(F, axis=0, out=F)
+    F *= mult[:, None]
+    return np.fft.ifft(F, axis=0, out=F)
 
 
 def _half_step_shift(grid: GridSpec) -> np.ndarray:
@@ -183,8 +188,9 @@ def symbol_from_operator(M: OperatorMatrix) -> GridSymbol:
     at the anti-diagonal corners (the t-periodization image); the taper
     touches only exponentially small entries for interior symbols.  The
     result lives on the square phase-space grid whose xi axis equals the
-    position axis.  Memory: 64 N^2 bytes beside the input (tapered kernel,
-    S, S M and S M S), each array dropped after its last use.
+    position axis.  Memory: 48 N^2 bytes beside the input (tapered kernel,
+    S and the even and odd offsets, N x N/2 each), plus 64 ROW_BLOCK N
+    bytes: S M S is formed ROW_BLOCK rows at a time, never whole.
     """
     grid = M.grid
     n = grid.n
@@ -197,16 +203,18 @@ def symbol_from_operator(M: OperatorMatrix) -> GridSymbol:
     Kt = M.entries / dx                                # seam-safe tapered kernel, built in place
     Kt *= w[:, None]
     Kt *= w[None, :]
-    S = _half_step_shift(grid)
-    Kodd = S @ Kt @ S                                  # kernel at (x + h, y - h), h = dx/2
-    del S
-
     idx = np.arange(n)
     rs = np.arange(-n // 4, n // 4)                    # |t| < L: beyond, the t-periodization image leaks in
-    A1 = (idx[:, None] + rs[None, :]) % n
-    A2 = (idx[:, None] - rs[None, :]) % n
-    Ge, Go = Kt[A1, A2], Kodd[A1, A2]                  # t = 2 r dx and t = 2 r dx + dx
-    del Kt, Kodd, A1, A2
+    Ge = Kt[(idx[:, None] + rs) % n, (idx[:, None] - rs) % n]     # t = 2 r dx
+    # t = 2 r dx + dx from S Kt S, the kernel at (x + h, y - h), h = dx/2, in blocks of
+    # its rows a: Go[i, c] = (S Kt S)[i + r_c, i - r_c] with i = a - r_c
+    S = _half_step_shift(grid)
+    Go = np.empty_like(Ge)
+    cols = np.arange(rs.size)
+    for a0 in range(0, n, ROW_BLOCK):
+        a = np.arange(a0, min(a0 + ROW_BLOCK, n))[:, None]
+        Go[(a - rs) % n, cols] = ((S[a0:a0 + ROW_BLOCK] @ Kt) @ S)[a - a0, (a - 2 * rs) % n]
+    del Kt, S
     xi = grid.axis()
     te = 2.0 * rs * dx
     samples = Ge @ (np.exp(-1j * np.outer(te, xi) / grid.hbar) * dx)
@@ -218,11 +226,12 @@ def symbol_from_operator(M: OperatorMatrix) -> GridSymbol:
 def check_run_bytes(n: int, evolve: bool = False) -> int:
     """Peak bytes of a `quantize` run (`egorov` with evolve) at N = n; ValueError above the cap.
 
-    The peak is the round trip's sampling of the symbol beside the operator
-    and its symbol: 8 complex N x N arrays (egorov: 10, with Op(H) and the
-    evolved operator), plus 256 ROW_BLOCK N bytes of quantize_kernel blocks.
+    The peak of `quantize` and `coherent` is symbol_from_operator beside the
+    operator: 4 complex N x N arrays.  That of `egorov` is heisenberg_evolve
+    beside Op(A) and Op(H): 5 arrays.  Either adds 256 ROW_BLOCK N bytes of
+    row blocks, the most any block loop of the run holds.
     """
-    need = 16 * n * n * (10 if evolve else 8) + 256 * ROW_BLOCK * n
+    need = 16 * n * n * (5 if evolve else 4) + 256 * ROW_BLOCK * n
     if need > RUN_BYTES_CAP:
         raise ValueError(f"Nx = {n} needs about {need / 2 ** 30:.1f} GiB, above the "
                          f"{RUN_BYTES_CAP >> 30} GiB cap of an operator run")
@@ -308,15 +317,22 @@ def heisenberg_evolve(A: OperatorMatrix, H: OperatorMatrix, t: float) -> Operato
     """A(t) = e^{i t H / hbar} A e^{-i t H / hbar}, via eigendecomposition.
 
     H must be Hermitian (checked); the evolution is unitary, so the
-    spectrum of A is preserved.
+    spectrum of A is preserved.  Beside A and H it holds at most three
+    complex N x N arrays: the eigenvectors are scaled and U conjugated in
+    place.
     """
     if A.grid != H.grid:
         raise ValueError("operator grids do not match")
     if H.hermiticity_defect() > 1e-10:
         raise ValueError("Hamiltonian matrix is not Hermitian")
     evals, V = np.linalg.eigh(H.entries)
-    U = (V * np.exp(1j * t * evals / H.grid.hbar)) @ V.conj().T
-    return OperatorMatrix(A.grid, U @ A.entries @ U.conj().T)
+    Vh = V.conj().T
+    V *= np.exp(1j * t * evals / H.grid.hbar)
+    U = V @ Vh
+    del V, Vh
+    UA = U @ A.entries
+    np.conjugate(U, out=U)                             # U.T is now the adjoint
+    return OperatorMatrix(A.grid, UA @ U.T)
 
 
 def _expm_series(M: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -396,10 +412,11 @@ def egorov_compare(A: SymbolEvaluator, H: PolySymbol, t: float, grid: GridSpec) 
     flow.  Exact in the continuum; the report is pure discretization.
     """
     opa = quantize_kernel(A, grid)
-    Hev = SymbolEvaluator.from_polysymbol(H)
-    oph = quantize_kernel(Hev, grid, spectral=True)
+    oph = quantize_kernel(SymbolEvaluator.from_polysymbol(H), grid, spectral=True)
     evolved = heisenberg_evolve(opa, oph, t)
+    del opa, oph
     sym = symbol_from_operator(evolved)
+    del evolved
 
     transported = evolve_evaluator(A, H, -t)
     with warnings.catch_warnings():

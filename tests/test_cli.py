@@ -441,6 +441,41 @@ def test_tolerance_failure_prints_one_line_and_no_report(capsys):
         "moyal-lab: round-trip error 2.45e-05 of scale 1 exceeds --tol 1e-05"]
 
 
+def test_failing_run_prints_only_its_one_line():
+    # Nx = 16 trips the band-edge guard, and the round trip then fails: the warning is dropped
+    out = run_cli("quantize", "--A", "gauss(1)", "--Nx", "16")
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.splitlines() == [
+        "moyal-lab: round-trip error 0.00607 of scale 1 exceeds --tol 1e-05"]
+
+
+def test_successful_run_shows_its_warnings_as_python_prints_them():
+    # x^2 does not decay at the box edge: the run exits 0 and shows the boundary warning,
+    # attributed to the handler's sampling line, then its source line
+    out = run_cli("quantize", "--A", "x^2", "--Nx", "128", "--spectral")
+    assert out.returncode == 0 and json.loads(out.stdout)["result"]["roundtrip_scale"] == 16.0
+    source = "ref = sample(ev, sym.spec)"
+    with open(cli.__file__) as fh:
+        lineno = next(i for i, line in enumerate(fh, 1) if line.strip() == source)
+    first, second = out.stderr.splitlines()
+    assert first.endswith(f"cli.py:{lineno}: UserWarning: symbol magnitude 6.400e+01 on the box "
+                          "boundary exceeds the decay guard 1e-12")
+    assert second == "  " + source
+
+
+@pytest.mark.parametrize("sup, slope", [(float("nan"), 2.0), (0.5, float("nan")),
+                                        (float("inf"), float("nan"))])
+def test_remainder_csv_refuses_nonfinite_values(capsys, monkeypatch, sup, slope):
+    monkeypatch.setattr(moyal_lab.grid, "remainder_scaling_scan",
+                        lambda *args: {"rows": [(1, 0.5, sup)], "slopes": {1: slope}})
+    rc = cli.main(["remainder", "--A", "gauss(1)", "--B", "gauss(1)", "--orders", "1",
+                   "--hbars", "0.5", "--N", "16", "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.splitlines() == ["moyal-lab: floating-point failure: non-finite value in the CSV "
+                                "output"]
+
+
 def test_nonfinite_payload_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(moyal_lab.grid.GridSymbol, "interior_sup", lambda self: float("nan"))
     rc = cli.main(["star", "--mode", "grid", "--A", "gauss(1)", "--B", "gauss(1)", "--N", "16",

@@ -6,10 +6,11 @@ import pytest
 
 import moyal_lab.grid
 from moyal_lab.evaluators import SymbolEvaluator, window
-from moyal_lab.grid import (GRID_WORK_CAP, RUN_BYTES_CAP, GridSpec, GridSymbol, _check_specs,
-                            check_grid_bytes, check_grid_work, cj_grid, moyal_bracket_grid,
-                            poisson_bracket_grid, remainder_grid, remainder_scaling_scan, sample,
-                            star_grid, star_quadrature_point, symplectic_fourier)
+from moyal_lab.grid import (BOUNDARY_DECAY, GRID_WORK_CAP, RUN_BYTES_CAP, GridSpec, GridSymbol,
+                            _check_specs, check_grid_bytes, check_grid_work, cj_grid,
+                            moyal_bracket_grid, poisson_bracket_grid, remainder_grid,
+                            remainder_scaling_scan, sample, star_grid, star_quadrature_point,
+                            symplectic_fourier)
 from moyal_lab.gridio import load_grid_symbol, save_grid_symbol
 
 
@@ -48,6 +49,43 @@ def test_sample_values_and_boundary_guard():
     assert sample(SymbolEvaluator.zero(), SPEC).interior_sup() == 0.0
     with pytest.warns(UserWarning, match="boundary"):
         sample(SymbolEvaluator.gauss(0.05), SPEC)
+
+
+def sample_reference(f, spec):
+    """The whole-grid sampling: both meshes and every evaluator transient at N x N.
+
+    Kept verbatim as the bitwise reference for the row-blocked `sample`.
+    """
+    X, XI = spec.meshes()
+    vals = f(X, XI)
+    frame = max(np.max(np.abs(vals[0, :])), np.max(np.abs(vals[:, 0])))
+    if frame > BOUNDARY_DECAY and np.max(np.abs(vals)) > 0:
+        warnings.warn(f"symbol magnitude {frame:.3e} on the box boundary "
+                      f"exceeds the decay guard {BOUNDARY_DECAY:.0e}",
+                      stacklevel=2)
+    return GridSymbol(spec, vals)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("ev, warns", [
+    (SymbolEvaluator.gauss(1.0), False),
+    (SymbolEvaluator.polynomial({(1, 0): 1.0}) * SymbolEvaluator.gauss(0.7, center=(1.3, -0.6)),
+     False),
+    (SymbolEvaluator.polynomial({(2, 0): 1.0, (1, 3): -0.5, (0, 1): 2.0 + 1.0j}), True),
+    (SymbolEvaluator.phase_exp(1, (0.7, -1.1)), True),
+], ids=["gauss", "x-gauss-off-centre", "polynomial", "phase"])
+def test_sample_bit_identical_to_reference(n, ev, warns):
+    # N = 256 runs four row blocks; the boundary guard reads the same frame and gives the same text
+    spec = GridSpec(n, 8.0, 0.6)
+    outs, texts = [], []
+    for fn in (sample, sample_reference):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outs.append(fn(ev, spec).samples)
+        texts.append([(w.category, str(w.message)) for w in caught])
+    assert np.array_equal(outs[0], outs[1])
+    assert texts[0] == texts[1]
+    assert len(texts[0]) == int(warns)
 
 
 def test_star_unit_element():
@@ -132,6 +170,12 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_sample_memory_is_one_output_and_a_row_block():
+    # the whole-grid sampling peaks at 96 MiB at N = 1024: the 16 MiB output and its transients
+    spec = GridSpec(1024, 8.0, 0.7)
+    assert traced_peak(lambda: sample(SymbolEvaluator.gauss(1.0), spec)) < 32 * 2 ** 20
 
 
 def test_star_grid_peak_is_a_few_arrays():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from moyal_lab import cli
 from moyal_lab.evaluators import SymbolEvaluator, poisson_bracket_eval, window
 from moyal_lab.gridio import load_operator, load_wave, save_operator, save_wave
 from moyal_lab.grid import GridSpec, GridSymbol, sample
@@ -219,16 +220,39 @@ def test_operator_kernels_memory_is_quadratic():
         symbol_peak = tracemalloc.get_traced_memory()[1] - live
     finally:
         tracemalloc.stop()
-    assert kernel_peak < 48 * 2 ** 20
-    assert symbol_peak < 80 * 2 ** 20
+    assert kernel_peak < 32 * 2 ** 20
+    assert symbol_peak < 56 * 2 ** 20
 
 
 def test_run_bytes_cap_admits_every_nx_up_to_4096():
     assert check_run_bytes(4096) < check_run_bytes(4096, evolve=True) <= RUN_BYTES_CAP
-    assert check_run_bytes(1024) == 16 * 1024 ** 2 * 8 + 256 * ROW_BLOCK * 1024
+    assert check_run_bytes(1024) == 16 * 1024 ** 2 * 4 + 256 * ROW_BLOCK * 1024
     for evolve in (False, True):
         with pytest.raises(ValueError, match="GiB"):
             check_run_bytes(8192, evolve=evolve)
+
+
+OPERATOR_RUNS = [
+    (["quantize", "--A", "gauss(1)"], False),
+    (["quantize", "--A", "x^2", "--spectral"], False),
+    (["egorov", "--A", "x*gauss(1/4)", "--H", "1/2*x^2 + 1/2*xi^2", "--t", "0.7854"], True),
+    (["coherent", "--A", "x^2", "--Y", "1,0.5", "--hbars", "0.25,0.5,1"], False),
+]
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_operator_run_estimate_bounds_the_traced_peak(n, capsys):
+    for argv, evolve in OPERATOR_RUNS:
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")     # x^2 does not decay at the box edge
+                assert cli.main(argv + ["--Nx", str(n)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= check_run_bytes(n, evolve=evolve), argv
+    capsys.readouterr()
 
 
 def test_identity_round_trip():
@@ -449,6 +473,32 @@ def test_commutator_cubic_defect_resolution_stable():
 
 
 # ------------------------------------------------------------ evolution
+
+def heisenberg_evolve_reference(A, H, t):
+    """The conjugation with every temporary alive to the end.
+
+    Kept verbatim as the bitwise reference for `heisenberg_evolve`.
+    """
+    if A.grid != H.grid:
+        raise ValueError("operator grids do not match")
+    if H.hermiticity_defect() > 1e-10:
+        raise ValueError("Hamiltonian matrix is not Hermitian")
+    evals, V = np.linalg.eigh(H.entries)
+    U = (V * np.exp(1j * t * evals / H.grid.hbar)) @ V.conj().T
+    return OperatorMatrix(A.grid, U @ A.entries @ U.conj().T)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_heisenberg_evolve_bit_identical_to_reference(n):
+    rng = np.random.default_rng(n)
+    grid = XGrid(n, 6.0, 0.8)
+    R = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    H = OperatorMatrix(grid, (R + R.conj().T) / 2)
+    A = OperatorMatrix(grid, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    for t in (0.0, 0.7, -2.3):
+        assert np.array_equal(heisenberg_evolve(A, H, t).entries,
+                              heisenberg_evolve_reference(A, H, t).entries)
+
 
 def test_heisenberg_evolve_trivial_cases():
     A = quantize_kernel(SymbolEvaluator.gauss(1.0, center=(0.5, 0.2)), GRID)
