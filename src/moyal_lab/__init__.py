@@ -7,8 +7,11 @@ Numerical engine (numpy, d = 1):
 Surface:
     exprparse, cli
 
-The numeric modules are imported lazily so the command-line entry point
-can configure threading before numpy loads.
+Only conventions, crational, polysym and star load with the package, as
+every subcommand needs them.  The names of exppoly, certify, evaluators,
+grid and weylop load on first access (PEP 562), so a process imports only
+the modules its subcommand runs, and the command-line entry point can
+configure threading before numpy loads.
 """
 
 from __future__ import annotations
@@ -22,12 +25,11 @@ from .star import (ConventionError, HbarSeries, bracket_discrepancy,
                    bracket_term, calibration_check, cj_coefficient,
                    moyal_bracket, moyal_bracket_series, moyal_product, star,
                    truncated_bracket)
-from .exppoly import ExpPolySymbol, cj_exp, pure_exp_collapse, star_with_pure
-from .certify import (Certificate, MpcReport, bracket_term_exp,
-                      exp_test_bracket, expected_term_constant,
-                      gvh_certificate, mpc_identity_check)
 
-_NUMERIC = {name: mod for mod, names in (
+_LAZY = {name: mod for mod, names in (
+    ("exppoly", "ExpPolySymbol cj_exp pure_exp_collapse star_with_pure"),
+    ("certify", "Certificate MpcReport bracket_term_exp exp_test_bracket expected_term_constant "
+                "gvh_certificate mpc_identity_check"),
     ("evaluators", "SymbolEvaluator GaussAtom poisson_bracket_eval bracket_term_eval window"),
     ("grid", "GridSpec GridSymbol sample star_grid star_quadrature_point cj_grid "
              "remainder_grid remainder_scaling_scan symplectic_fourier"),
@@ -38,7 +40,7 @@ _NUMERIC = {name: mod for mod, names in (
 
 
 def __getattr__(name: str):
-    mod = _NUMERIC.get(name)
+    mod = _LAZY.get(name)
     if mod is None:
         raise AttributeError(f"module 'moyal_lab' has no attribute {name!r}")
     import importlib

@@ -21,7 +21,7 @@ route disagreement raises ConventionError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -97,8 +97,8 @@ def exp_test_bracket(H: PolySymbol) -> PolySymbol:
     return central
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "m degree equal witness failing_order",
+                             defaults=(None, None))):
     """Outcome of the order-m truncation test for one Hamiltonian.
 
     ``equal`` means the truncated and full brackets coincide against every
@@ -108,11 +108,7 @@ class Certificate:
     family.
     """
 
-    m: int
-    degree: int
-    equal: bool
-    witness: PolySymbol | None = None
-    failing_order: int | None = None
+    __slots__ = ()
 
     def __repr__(self) -> str:
         if self.equal:
@@ -140,8 +136,9 @@ def gvh_certificate(H: PolySymbol, m: int) -> Certificate:
     return Certificate(m=m, degree=degH, equal=False, witness=w, failing_order=order)
 
 
-@dataclass(frozen=True)
-class MpcReport:
+class MpcReport(namedtuple("MpcReport", "H lhs_closed_form c0 c1 c2 taylor_defect "
+                                       "printed_c2_delta mirrored_shift_sign",
+                           defaults=("-hbar*Y/2",))):
     """Exact expansion data for the conjugation identity of one Hamiltonian.
 
     ``lhs_closed_form`` is ((Y.grad H) T_Y) * T_Y^* = (Y.grad H)(X + hbar Y/2),
@@ -156,14 +153,7 @@ class MpcReport:
     factor order ((Y.grad H) T_Y^*) * T_Y produces the -hbar Y/2 shift.
     """
 
-    H: PolySymbol
-    lhs_closed_form: PolySymbol
-    c0: PolySymbol
-    c1: PolySymbol
-    c2: PolySymbol
-    taylor_defect: PolySymbol
-    printed_c2_delta: PolySymbol | None
-    mirrored_shift_sign: str = "-hbar*Y/2"
+    __slots__ = ()
 
 
 def mpc_identity_check(H: PolySymbol) -> MpcReport:

@@ -12,7 +12,9 @@ on stdout.
 The environment variable MOYAL_LAB_THREADS sets the worker threads of the
 numeric backends, 1 when unset, so that output does not depend on the
 host's core count; it must be read before numpy loads, so the numeric
-modules are imported lazily inside the handlers.
+modules (evaluators, grid, gridio, weylop) are imported lazily inside the
+handlers.  So is certify, with the exppoly it uses, inside `gvh` and `mpc`:
+an exact `star` or `bracket` process loads neither, nor numpy.
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from .conventions import CONVENTIONS
-from .crational import CRational
 from .exprparse import (MAX_EXACT_DEGREE, ExprError, check_exact_pair, check_exact_rows,
                         check_shifted_terms, lower_poly, parse_symbol, pretty)
 from .polysym import PolySymbol
@@ -43,19 +43,13 @@ MAX_TRUNCATION_ORDER = MAX_EXACT_DEGREE // 2 - 1
 
 # ------------------------------------------------------------- serialization
 
-def frac_json(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
-def crational_json(c: CRational) -> dict:
-    return {"re": frac_json(c.re), "im": frac_json(c.im)}
-
-
 def poly_json(p: PolySymbol) -> list:
-    shape = p.shape
+    """Terms in exponent order, each coefficient as reduced "p/q" strings read off the
+    numerators over the symbol's one denominator."""
+    shape, den = p.shape, p.den
     d = shape.d
     out = []
-    for exps, coeff in p.sorted_terms():
+    for exps, parts in sorted(p.num.items()):
         term = {
             "alpha": [exps[shape.slot("x", k)] for k in range(d)],
             "beta": [exps[shape.slot("xi", k)] for k in range(d)],
@@ -65,7 +59,9 @@ def poly_json(p: PolySymbol) -> list:
             term["eta"] = [exps[shape.slot("eta", k)] for k in range(d)]
         if shape.has_hbar:
             term["hbar"] = exps[shape.slot("hbar")]
-        term.update(crational_json(coeff))
+        for key, n in zip(("re", "im"), parts):
+            g = math.gcd(n, den)
+            term[key] = f"{n // g}/{den // g}"
         out.append(term)
     return out
 
@@ -326,6 +322,7 @@ def cmd_coherent(args) -> int:
             warnings.simplefilter("ignore")
             op = quantize_kernel(ev, grid)
         e = expectation(op, phi)
+        del op      # the next hbar's operator is built without this one alive
         val = complex(ev(np.array(y), np.array(eta)))
         err = abs(e - val)
         errs.append(err)

@@ -32,7 +32,7 @@ any product.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, prod
 
@@ -48,42 +48,34 @@ class ExprError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
 class Node:
-    span: tuple
+    """Base of the AST nodes: immutable named tuples whose first field is the source span."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Lit(Node):
-    value: Fraction
+class Lit(namedtuple("Lit", "span value"), Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var(Node):
-    name: str
+class Var(namedtuple("Var", "span name"), Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Gauss(Node):
-    rate: Fraction
+class Gauss(namedtuple("Gauss", "span rate"), Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg(Node):
-    arg: Node
+class Neg(namedtuple("Neg", "span arg"), Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Bin(Node):
-    op: str         # '+', '-' or '*'
-    left: Node
-    right: Node
+class Bin(namedtuple("Bin", "span op left right"), Node):     # op: '+', '-' or '*'
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pow(Node):
-    base: Node
-    exponent: int
+class Pow(namedtuple("Pow", "span base exponent"), Node):
+    __slots__ = ()
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")

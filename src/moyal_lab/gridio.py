@@ -1,7 +1,8 @@
 """Flat binary serialization with a JSON sidecar for grid-valued data.
 
 Layout: row-major complex samples as interleaved little-endian float64
-pairs (re, im) in ``<path>.bin``, and a sidecar ``<path>.json`` holding
+pairs (re, im) in ``<path>.bin`` (numpy's ``<c16``, written and read in
+one call each), and a sidecar ``<path>.json`` holding
 {"kind", "shape", "N", "L", "hbar"}, where N, L and hbar are the fields of
 the data's `grid.GridSpec` lattice.  Grid symbols, operator matrices and
 wavefunctions all share the format; ``kind`` tells them apart.
@@ -18,12 +19,9 @@ from .grid import GridSpec, GridSymbol
 
 
 def _write(path, kind: str, arr: np.ndarray, spec: GridSpec) -> None:
-    data = np.ascontiguousarray(arr, dtype=complex)
-    flat = np.empty(data.size * 2, dtype="<f8")
-    flat[0::2] = data.real.ravel()
-    flat[1::2] = data.imag.ravel()
+    data = np.ascontiguousarray(arr, dtype="<c16")
     path = Path(path)
-    path.with_suffix(".bin").write_bytes(flat.tobytes())
+    data.tofile(path.with_suffix(".bin"))
     sidecar = {"kind": kind, "shape": list(data.shape),
                "N": spec.n, "L": spec.box, "hbar": spec.hbar}
     path.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
@@ -34,8 +32,7 @@ def _read(path, kind: str) -> tuple[GridSpec, np.ndarray]:
     meta = json.loads(path.with_suffix(".json").read_text())
     if meta["kind"] != kind:
         raise ValueError(f"expected a {kind} payload, found {meta['kind']!r}")
-    raw = np.frombuffer(path.with_suffix(".bin").read_bytes(), dtype="<f8")
-    arr = (raw[0::2] + 1j * raw[1::2]).reshape(meta["shape"])
+    arr = np.fromfile(path.with_suffix(".bin"), dtype="<c16").reshape(meta["shape"])
     return GridSpec(meta["N"], meta["L"], meta["hbar"]), arr
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import moyal_lab
 import moyal_lab.grid
 from moyal_lab import cli
 
@@ -635,6 +637,67 @@ def test_exact_subcommands_leave_numpy_unloaded(argv):
              "sys.stderr.write(f'exit {rc}, numpy loaded: {\"numpy\" in sys.modules}')")
     out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
     assert out.stderr == "exit 0, numpy loaded: False"
+
+
+# the benchmark's launch line, behind a hook that lists the loaded modules at exit
+LAUNCH = "import sys; from moyal_lab.cli import main; sys.exit(main())"
+LIST_MODULES = ("import atexit, sys; "
+                "atexit.register(lambda: sys.stderr.write('\\nmodules: ' + ' '.join(sys.modules)))")
+
+
+def _loaded_modules(code: str, *argv) -> set:
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         env={**os.environ, "MOYAL_LAB_THREADS": "1"})
+    assert out.returncode == 0, out.stderr
+    return set(out.stderr.rsplit("modules: ", 1)[1].split())
+
+
+@pytest.mark.parametrize("argv, loads_certify", [
+    (["star", "--A", "x", "--B", "xi"], False),
+    (["bracket", "--A", "xi^3", "--H", "x^3"], False),
+    (["gvh", "--H", "x^3", "--max-m", "2"], True),
+    (["mpc", "--H", "x^3"], True),
+], ids=["star", "bracket", "gvh", "mpc"])
+def test_cold_start_loads_only_what_the_subcommand_runs(argv, loads_certify):
+    # modules a bare interpreter already holds are not the program's cost
+    loaded = (_loaded_modules(f"{LIST_MODULES}; {LAUNCH}", *argv)
+              - _loaded_modules(f"{LIST_MODULES}; pass"))
+    assert "moyal_lab.star" in loaded and "numpy" not in loaded
+    assert ("moyal_lab.certify" in loaded) == ("moyal_lab.exppoly" in loaded) == loads_certify
+    if not loads_certify:
+        assert not loaded & {"dataclasses", "inspect"}
+
+
+# every name that `moyal_lab` exported by eager import before its certify and exppoly names
+# joined the lazy table
+PACKAGE_EXPORTS = {
+    "conventions": "CONVENTIONS",
+    "crational": "CRational I i_power neg_i_power",
+    "polysym": "PhasePoint PolySymbol Shape ShapeError directional_power linear_form "
+               "linear_form_symbolic poisson_bracket symplectic_form",
+    "star": "ConventionError HbarSeries bracket_discrepancy bracket_term calibration_check "
+            "cj_coefficient moyal_bracket moyal_bracket_series moyal_product star "
+            "truncated_bracket",
+    "exppoly": "ExpPolySymbol cj_exp pure_exp_collapse star_with_pure",
+    "certify": "Certificate MpcReport bracket_term_exp exp_test_bracket expected_term_constant "
+               "gvh_certificate mpc_identity_check",
+}
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE_EXPORTS))
+def test_package_exports_resolve_to_their_modules_objects(module):
+    own = importlib.import_module(f"moyal_lab.{module}")
+    for name in PACKAGE_EXPORTS[module].split():
+        scope = {}
+        exec(f"from moyal_lab import {name}", scope)
+        assert getattr(moyal_lab, name) is scope[name] is getattr(own, name), name
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        moyal_lab.no_such_name
+    with pytest.raises(ImportError):
+        exec("from moyal_lab import no_such_name", {})
 
 
 def test_output_to_file(tmp_path):

@@ -1,12 +1,15 @@
+import json
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from moyal_lab import cli
+from moyal_lab import cli, gridio
 from moyal_lab.evaluators import SymbolEvaluator, poisson_bracket_eval, window
+from moyal_lab.exprparse import lower_evaluator, parse_symbol
 from moyal_lab.gridio import load_operator, load_wave, save_operator, save_wave
 from moyal_lab.grid import GridSpec, GridSymbol, sample
 from moyal_lab.polysym import PolySymbol, Shape
@@ -252,6 +255,29 @@ def test_operator_run_estimate_bounds_the_traced_peak(n, capsys):
         finally:
             tracemalloc.stop()
         assert peak <= check_run_bytes(n, evolve=evolve), argv
+    capsys.readouterr()
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # x^2 does not decay at the box edge
+            fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_coherent_holds_one_operator_at_a_time(capsys):
+    """The README `coherent` at Nx = 512 peaks at one of its quantizations plus O(N) bytes: each
+    hbar's operator is released before the next is built (two alive would add N^2 entries)."""
+    n, argv = 512, OPERATOR_RUNS[3][0]
+    assert cli.main(argv + ["--Nx", "64"]) == 0          # imports stay outside the traces
+    ev = lower_evaluator(parse_symbol("x^2"))
+    one = _traced_peak(lambda: quantize_kernel(ev, GridSpec(n, 8.0, 0.25)))
+    run = _traced_peak(lambda: cli.main(argv + ["--Nx", str(n)]))
+    assert run <= one + 32 * 16 * n
     capsys.readouterr()
 
 
@@ -615,3 +641,69 @@ def test_operator_and_wave_io(tmp_path):
     assert np.array_equal(wback.values, psi.values)
     with pytest.raises(ValueError):
         load_operator(tmp_path / "psi")
+
+
+def gridio_write_reference(path, kind, arr, spec):
+    """The interleaving writer, kept verbatim as the byte reference for `gridio._write`."""
+    data = np.ascontiguousarray(arr, dtype=complex)
+    flat = np.empty(data.size * 2, dtype="<f8")
+    flat[0::2] = data.real.ravel()
+    flat[1::2] = data.imag.ravel()
+    path = Path(path)
+    path.with_suffix(".bin").write_bytes(flat.tobytes())
+    sidecar = {"kind": kind, "shape": list(data.shape),
+               "N": spec.n, "L": spec.box, "hbar": spec.hbar}
+    path.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
+
+
+def gridio_read_reference(path, kind):
+    """The de-interleaving reader, kept verbatim as the reference for `gridio._read`."""
+    path = Path(path)
+    meta = json.loads(path.with_suffix(".json").read_text())
+    if meta["kind"] != kind:
+        raise ValueError(f"expected a {kind} payload, found {meta['kind']!r}")
+    raw = np.frombuffer(path.with_suffix(".bin").read_bytes(), dtype="<f8")
+    arr = (raw[0::2] + 1j * raw[1::2]).reshape(meta["shape"])
+    return GridSpec(meta["N"], meta["L"], meta["hbar"]), arr
+
+
+def _gridio_payload(case):
+    """(kind, array, lattice) of one serialization case."""
+    if case == "grid-symbol":
+        g = quiet_sample(SymbolEvaluator.gauss(1.0, center=(0.2, -0.4)), GridSpec(64, 6.0, 1.0))
+        return "grid", g.samples, g.spec
+    if case == "operator":
+        m = quantize_kernel(SymbolEvaluator.gauss(1.0, center=(0.2, 0.1)), GRID)
+        return "operator", m.entries, m.grid
+    if case == "wave":
+        w = coherent_state((0.5, -0.2), GRID)
+        return "wave", w.values, w.grid
+    if case == "large-values":
+        rng = np.random.default_rng(7)
+        arr = (rng.standard_normal((16, 16)) * 10.0 ** rng.integers(-300, 300, (16, 16))
+               + 1j * rng.standard_normal((16, 16)) * 1e300)
+        arr[0, :4] = [1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324]
+    else:
+        arr = np.array([complex(re, im) for re in (0.0, -0.0, 1.5, -2.0)
+                        for im in (0.0, -0.0, 3.0, -4.0)])
+    return "grid", arr, GridSpec(16, 6.0, 1.0)
+
+
+@pytest.mark.parametrize("case", ["grid-symbol", "operator", "wave", "large-values",
+                                  "signed-zeros"])
+def test_gridio_matches_the_interleaving_reference(case, tmp_path):
+    """Files are byte-identical to the interleaving writer's, and loads return the saved bits.
+    The reference reader forms re + 1j * im, which turns a -0.0 part into +0.0, so on signed
+    zeros the loads are equal in value to its loads and bitwise equal to the saved array."""
+    kind, arr, spec = _gridio_payload(case)
+    gridio._write(tmp_path / "new", kind, arr, spec)
+    gridio_write_reference(tmp_path / "ref", kind, arr, spec)
+    for suffix in (".bin", ".json"):
+        assert (tmp_path / f"new{suffix}").read_bytes() == (tmp_path / f"ref{suffix}").read_bytes()
+    new_spec, loaded = gridio._read(tmp_path / "new", kind)
+    ref_spec, reference = gridio_read_reference(tmp_path / "ref", kind)
+    assert new_spec == ref_spec == spec
+    assert loaded.dtype == reference.dtype == complex and loaded.shape == reference.shape
+    assert loaded.tobytes() == np.ascontiguousarray(arr, dtype=complex).tobytes()
+    assert np.array_equal(loaded, reference)
+    assert (loaded.tobytes() == reference.tobytes()) == (case != "signed-zeros")
