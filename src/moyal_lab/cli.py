@@ -26,8 +26,8 @@ import os
 import sys
 
 from .conventions import CONVENTIONS
-from .exprparse import (MAX_EXACT_DEGREE, ExprError, check_exact_pair, check_exact_rows,
-                        check_shifted_terms, lower_poly, parse_symbol, pretty)
+from .exprparse import check_exact_pair, lower_poly, parse_symbol, pretty
+from .limits import ExprError, check_args, check_exact_rows, check_shifted_terms
 from .polysym import PolySymbol
 from .star import ConventionError, HbarSeries, calibration_check
 
@@ -35,10 +35,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_TOLERANCE = 2
 EXIT_INTERNAL = 3
-
-# gvh prints one row per m; deg H <= 2m + 2 certifies Equal, so from this m on every H within
-# the exact degree cap gives the same row
-MAX_TRUNCATION_ORDER = MAX_EXACT_DEGREE // 2 - 1
 
 
 # ------------------------------------------------------------- serialization
@@ -124,13 +120,6 @@ def _eval_arg(text: str):
     return lower_evaluator(parse_symbol(text))
 
 
-def _num_list(text: str, kind=float) -> list:
-    try:
-        return [kind(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
-        raise ExprError(f"bad numeric list {text!r}", 0) from exc
-
-
 # ------------------------------------------------------------- subcommands
 
 def cmd_star(args) -> int:
@@ -142,12 +131,10 @@ def cmd_star(args) -> int:
         emit_json({"command": "star", "mode": "exact", "d": args.d, "A": a_text, "B": b_text,
                    "result": series_json(prod)}, args)
         return EXIT_OK
-    from .grid import GridSpec, check_grid_bytes, check_grid_work, sample, star_grid
+    from .grid import GridSpec, sample, star_grid
     from .gridio import save_grid_symbol
 
     spec = GridSpec(args.N, args.L, args.hbar)
-    check_grid_bytes(spec.n)
-    check_grid_work(spec.n)
     GA = sample(_eval_arg(args.A), spec)
     GB = sample(_eval_arg(args.B), spec)
     S = star_grid(GA, GB)
@@ -223,11 +210,9 @@ def cmd_mpc(args) -> int:
 
 
 def cmd_remainder(args) -> int:
-    from .grid import GridSpec, check_grid_bytes, check_grid_work, remainder_scaling_scan
+    from .grid import GridSpec, remainder_scaling_scan
 
     spec = GridSpec(args.N, args.L, args.hbars_list[0])
-    check_grid_bytes(spec.n)
-    check_grid_work(spec.n, len(args.hbars_list))
     res = remainder_scaling_scan(_eval_arg(args.A), _eval_arg(args.B),
                                  args.orders_list, args.hbars_list, spec)
     if args.format == "csv":
@@ -252,10 +237,9 @@ def cmd_quantize(args) -> int:
 
     from .grid import GridSpec, sample
     from .gridio import save_operator
-    from .weylop import check_run_bytes, quantize_kernel, symbol_from_operator
+    from .weylop import quantize_kernel, symbol_from_operator
 
     grid = GridSpec(args.Nx, args.L, args.hbar)
-    check_run_bytes(grid.n)
     ev = _eval_arg(args.A)
     if args.spectral and any(a.Q is None and a.poly[:, 1:].any() for a in ev.atoms):
         raise ValueError("--spectral: the round trip cannot recover a term in xi "
@@ -285,13 +269,12 @@ def cmd_quantize(args) -> int:
 
 def cmd_egorov(args) -> int:
     from .grid import GridSpec
-    from .weylop import check_run_bytes, egorov_compare
+    from .weylop import egorov_compare
 
     H, h_text = _poly_arg(args.H, 1)
     if H.degree() > 2:
         raise ExprError("egorov requires deg H <= 2", 0)
     grid = GridSpec(args.Nx, args.L, args.hbar)
-    check_run_bytes(grid.n, evolve=True)
     rep = egorov_compare(_eval_arg(args.A), H, args.t, grid)
     if rep["relative_mismatch"] > args.tol:
         return _fail(EXIT_TOLERANCE, f"relative mismatch {rep['relative_mismatch']:.3g} exceeds "
@@ -308,9 +291,8 @@ def cmd_coherent(args) -> int:
     import numpy as np
 
     from .grid import GridSpec
-    from .weylop import check_run_bytes, coherent_state, expectation, quantize_kernel
+    from .weylop import coherent_state, expectation, quantize_kernel
 
-    check_run_bytes(args.Nx)
     y, eta = args.Y
     ev = _eval_arg(args.A)
     rows = []
@@ -456,31 +438,12 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    """The handler of `args`, with every failure mapped to its exit code and one line."""
+    """The handler of `args`, once the front door (`limits.check_args`) admits them, with every
+    failure mapped to its exit code and one line."""
     try:
-        if hasattr(args, "hbars"):
-            args.hbars_list = _num_list(args.hbars)
-            if not args.hbars_list:
-                raise ValueError("--hbars needs at least one value")
-        if hasattr(args, "orders"):
-            args.orders_list = _num_list(args.orders, int)
-            if not args.orders_list:
-                raise ValueError("--orders needs at least one value")
-        if hasattr(args, "Y"):
-            args.Y = _num_list(args.Y)
-            if len(args.Y) != 2 or not all(map(math.isfinite, args.Y)):
-                raise ValueError("--Y needs two finite numbers y,eta")
-        if not math.isfinite(getattr(args, "t", 0.0)):
-            raise ValueError("--t must be finite")
-        if not 0 <= getattr(args, "tol", 0.0) < math.inf:
-            raise ValueError("--tol must be finite and >= 0")
-        if getattr(args, "max_m", 0) < 0:
-            raise ValueError("--max-m must be >= 0")
-        if getattr(args, "max_m", 0) > MAX_TRUNCATION_ORDER:
-            raise ValueError(f"--max-m must be at most {MAX_TRUNCATION_ORDER}: every H within the "
-                             f"degree cap of {MAX_EXACT_DEGREE} is Equal from there on")
+        numeric = check_args(args)
         calibration_check(1)
-        if args.cmd in ("star", "bracket", "gvh", "mpc") and getattr(args, "mode", "") != "grid":
+        if not numeric:
             return args.func(args)      # exact handlers never load numpy
         import numpy as np
 

@@ -37,15 +37,10 @@ from fractions import Fraction
 from math import comb, prod
 
 from .crational import CRational
+# the caps that lived here stay importable from this module
+from .limits import (MAX_COEFFICIENT_BITS, MAX_EXACT_DEGREE, MAX_EXACT_PAIRS,  # noqa: F401
+                     ExprError, check_dimension, check_exact_pairs, check_exact_size)
 from .polysym import PolySymbol, Shape
-
-
-class ExprError(ValueError):
-    """Lexical/syntax/lowering error with a source position."""
-
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
 
 
 class Node:
@@ -240,23 +235,6 @@ def _var_target(n: Var, d: int) -> tuple[str, int]:
     return block, axis
 
 
-# resource limits of the exact engine, checked before any power expands
-MAX_EXACT_DEGREE = 64
-MAX_COEFFICIENT_BITS = 4096     # numerator or denominator of one coefficient
-MAX_EXACT_PAIRS = 10 ** 6       # term pairs of one exact product or bracket
-MAX_EXACT_PAIR_ROWS = 2 * 10 ** 6   # lowered term pairs x series orders; see README
-MAX_EXACT_DIMENSION = 64        # phase-space dimension d: every term carries 2d exponents
-MAX_SHIFTED_TERMS = 10 ** 5       # shifted terms x kernel calls of one gvh or mpc run; see README
-
-
-def check_dimension(d: int) -> None:
-    """Refuse an exact symbol in fewer than 1 or more than MAX_EXACT_DIMENSION dimensions."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if d > MAX_EXACT_DIMENSION:
-        raise ValueError(f"dimension {d} exceeds the exact engine's cap of {MAX_EXACT_DIMENSION}")
-
-
 def degree_bound(n: Node) -> int:
     """An upper bound on the total degree of `n`, read off the AST: a sum takes
     the larger degree, a product adds, a power multiplies."""
@@ -290,49 +268,16 @@ def size_bound(n: Node, nvars: int) -> tuple[int, int, int, int]:
     return deg, min(terms, comb(deg + nvars, nvars)), nb, d1 + d2
 
 
-def exact_terms_bound(node: Node, nvars: int) -> int:
-    """The term bound of `node`, once its degree and coefficient bits are within their caps."""
-    degree, terms, *bits = size_bound(node, nvars)
-    if degree > MAX_EXACT_DEGREE:
-        raise ExprError(f"degree bound {degree} exceeds the exact engine's cap of {MAX_EXACT_DEGREE}",
-                        node.span[0])
-    if max(bits) > MAX_COEFFICIENT_BITS:
-        raise ExprError(f"coefficient bound of {max(bits)} bits exceeds the exact engine's cap "
-                        f"of {MAX_COEFFICIENT_BITS} bits", node.span[0])
-    return terms
-
-
 def check_exact_pair(a: Node, b: Node, d: int) -> None:
     """Refuse an exact product or bracket of `a` and `b` (dimension d) before lowering either."""
     check_dimension(d)
-    pairs = exact_terms_bound(a, 2 * d) * exact_terms_bound(b, 2 * d)
-    if pairs > MAX_EXACT_PAIRS:
-        raise ValueError(f"term-pair estimate {pairs} exceeds the exact engine's cap of {MAX_EXACT_PAIRS}")
-
-
-def check_exact_rows(A: PolySymbol, B: PolySymbol) -> None:
-    """Refuse the lowered operands of an exact product or bracket when their term pairs,
-    times the min(deg A, deg B) + 1 orders each pair can reach, exceed the cap."""
-    rows = len(A.num) * len(B.num) * (min(A.degree(), B.degree()) + 1)
-    if rows > MAX_EXACT_PAIR_ROWS:
-        raise ValueError(f"pair-row estimate {rows} exceeds the exact engine's cap of {MAX_EXACT_PAIR_ROWS}")
-
-
-def check_shifted_terms(H: PolySymbol, calls: int = 1) -> None:
-    """Refuse a one-operand run (gvh, mpc) when its shifted terms, the sum over the terms of H of
-    prod_k (a_k + 1)(b_k + 1), times its kernel calls exceed the cap: a Taylor shift of H, and
-    the kernel's shifted operand, hold up to that many terms."""
-    d = H.shape.d
-    work = calls * sum(prod((e[k] + 1) * (e[d + k] + 1) for k in range(d)) for e in H.num)
-    if work > MAX_SHIFTED_TERMS:
-        raise ValueError(f"shifted-term estimate {work} exceeds the exact engine's cap of "
-                         f"{MAX_SHIFTED_TERMS}")
+    check_exact_pairs(prod(check_exact_size(size_bound(n, 2 * d), n.span[0]) for n in (a, b)))
 
 
 def _lower(node: Node, shape: Shape, leaf) -> dict:
     """`node` lowered exactly to {gauss rate or None: PolySymbol} (see the module docstring);
     `leaf` lowers its Var and Gauss nodes by the rules of the caller's context."""
-    exact_terms_bound(node, shape.nvars)
+    check_exact_size(size_bound(node, shape.nvars), node.span[0])
 
     def plus(f, g):
         out = dict(f)

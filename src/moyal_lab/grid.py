@@ -25,18 +25,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
 from .evaluators import SymbolEvaluator
+# the caps and checks that lived here stay importable from this module
+from .limits import (GRID_WORK_CAP, ROW_BLOCK, RUN_BYTES_CAP, check_grid_bytes,  # noqa: F401
+                     check_grid_work, check_lattice, check_series_orders)
 
 BOUNDARY_DECAY = 1e-12
 ORACLE_TOL = 1e-6
-RUN_BYTES_CAP = 4 << 30  # largest estimated peak of a grid or operator run; admits every N <= 4096
-GRID_WORK_CAP = 10 * 1024 ** 3  # N^3 log2 N summed over the star products of one run: one at N = 1024
-MAX_SERIES_ORDER = 170   # the weights 1/(a! b!), a + b = j, of C_j are floats up to j = 170
-ROW_BLOCK = 64           # rows per block of `sample` and of weylop's operator kernels
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,10 +50,7 @@ class GridSpec:
     hbar: float
 
     def __post_init__(self):
-        if self.n < 16 or self.n & (self.n - 1):
-            raise ValueError("grid size must be a power of two, at least 16")
-        if not (isfinite(self.box) and isfinite(self.hbar) and self.box > 0 and self.hbar > 0):
-            raise ValueError("box half-length and hbar must be finite and positive")
+        check_lattice(self.n, self.box, self.hbar)
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "box", float(self.box))
         object.__setattr__(self, "hbar", float(self.hbar))
@@ -128,35 +123,6 @@ def sample(f: SymbolEvaluator, spec: GridSpec) -> GridSymbol:
                       f"exceeds the decay guard {BOUNDARY_DECAY:.0e}",
                       stacklevel=2)
     return GridSymbol(spec, vals)
-
-
-def check_grid_bytes(n: int) -> int:
-    """Peak bytes of a `star --mode grid` or `remainder` run at N = n; ValueError above the cap.
-
-    The peak is star_grid beside both samples: 8 complex N x N arrays of its
-    own (C, FB, phase, E, out and three work buffers) and 2 samples, plus 1
-    array of transients and 1 MiB of fixed-size state.  Sampling (its
-    output and the evaluator transients of one ROW_BLOCK-row block beside
-    the other sample) and the remainder series (the product, its partial
-    sum and one C_j with its spectral derivatives, beside both samples)
-    stay below it.
-    """
-    need = 16 * n * n * 11 + (1 << 20)
-    if need > RUN_BYTES_CAP:
-        raise ValueError(f"N = {n} needs about {need / 2 ** 30:.1f} GiB, above the "
-                         f"{RUN_BYTES_CAP >> 30} GiB cap of a grid run")
-    return need
-
-
-def check_grid_work(n: int, products: int = 1) -> int:
-    """Work estimate of `products` star products at N = n, products · N^3 log2 N (the mode sum
-    of `star_grid`); ValueError above GRID_WORK_CAP, before anything is sampled."""
-    work = products * n ** 3 * (n.bit_length() - 1)
-    if work > GRID_WORK_CAP:
-        raise ValueError(f"N = {n} with {products} star product(s) needs about {work:.2e} grid "
-                         f"operations (N^3 log2 N each), above the cap of {GRID_WORK_CAP:.2e}, "
-                         f"one product at N = 1024")
-    return work
 
 
 def star_grid(A: GridSymbol, B: GridSymbol) -> GridSymbol:
@@ -241,12 +207,6 @@ def _spectral_partial(samples: np.ndarray, spec: GridSpec, axis: int, order: int
     return np.fft.ifft(np.fft.fft(samples, axis=axis) * mult.reshape(shape), axis=axis)
 
 
-def _check_series_order(j: int) -> None:
-    if j > MAX_SERIES_ORDER:
-        raise ValueError(f"series order {j} exceeds {MAX_SERIES_ORDER}, the largest whose "
-                         f"weights 1/(a! b!) are floats")
-
-
 def cj_grid(A: GridSymbol, B: GridSymbol, j: int) -> GridSymbol:
     """The j-th bidifferential coefficient by spectral differentiation.
 
@@ -255,7 +215,7 @@ def cj_grid(A: GridSymbol, B: GridSymbol, j: int) -> GridSymbol:
     spec = _check_specs(A, B)
     if j < 0:
         raise ValueError("order must be >= 0")
-    _check_series_order(j)
+    check_series_orders([j])
     from math import factorial
     acc = np.zeros_like(A.samples)
     for a in range(j + 1):
@@ -284,9 +244,7 @@ def remainder_scaling_scan(A: SymbolEvaluator, B: SymbolEvaluator,
     Sup-norms below 1e-12 are reported with slope None ("exact within
     noise"): linear inputs make every remainder vanish identically.
     """
-    if any(o < 0 for o in orders):
-        raise ValueError(f"series orders must be >= 0, got {list(orders)}")
-    _check_series_order(max(orders, default=0))
+    check_series_orders(orders)
     specs = [GridSpec(spec.n, spec.box, h) for h in hbars]     # every hbar checked before sampling
     rows = []
     slopes = {}

@@ -36,7 +36,9 @@ from math import pi
 import numpy as np
 
 from .evaluators import SymbolEvaluator
-from .grid import ROW_BLOCK, RUN_BYTES_CAP, GridSpec, GridSymbol, sample, symplectic_fourier
+from .grid import GridSpec, GridSymbol, sample, symplectic_fourier
+# the cap and check that lived here stay importable from this module
+from .limits import ROW_BLOCK, RUN_BYTES_CAP, check_run_bytes  # noqa: F401
 from .polysym import PolySymbol
 
 NYQUIST_TAIL = 1e-8
@@ -155,17 +157,20 @@ def quantize_kernel(A: SymbolEvaluator, grid: GridSpec,
     return M
 
 
-def _fourier_multiplier(n: int, mult: np.ndarray) -> np.ndarray:
-    """The periodic spectral operator with Fourier multiplier `mult`, as a matrix (one buffer)."""
-    F = np.eye(n, dtype=complex)
+def _fourier_multiplier(n: int, mult: np.ndarray, cols=None) -> np.ndarray:
+    """The periodic spectral operator with Fourier multiplier `mult`, as a matrix (one buffer),
+    or its columns `cols` alone."""
+    cols = np.arange(n) if cols is None else cols
+    F = np.zeros((n, cols.size), dtype=complex)
+    F[cols, np.arange(cols.size)] = 1
     np.fft.fft(F, axis=0, out=F)
     F *= mult[:, None]
     return np.fft.ifft(F, axis=0, out=F)
 
 
-def _half_step_shift(grid: GridSpec) -> np.ndarray:
-    """The band-limited unitary (S psi)(x) = psi(x + dx/2) as a matrix."""
-    return _fourier_multiplier(grid.n, np.exp(1j * grid.omega() * grid.step / 2.0))
+def _half_step_shift(grid: GridSpec, cols=None) -> np.ndarray:
+    """The band-limited unitary (S psi)(x) = psi(x + dx/2) as a matrix, or its columns `cols`."""
+    return _fourier_multiplier(grid.n, np.exp(1j * grid.omega() * grid.step / 2.0), cols)
 
 
 def _edge_taper(grid: GridSpec, start: float = 0.8) -> np.ndarray:
@@ -189,8 +194,9 @@ def symbol_from_operator(M: OperatorMatrix) -> GridSymbol:
     touches only exponentially small entries for interior symbols.  The
     result lives on the square phase-space grid whose xi axis equals the
     position axis.  Memory: 48 N^2 bytes beside the input (tapered kernel,
-    S and the even and odd offsets, N x N/2 each), plus 64 ROW_BLOCK N
-    bytes: S M S is formed ROW_BLOCK rows at a time, never whole.
+    S as its even and odd columns, and the even and odd offsets, N x N/2
+    each), plus 64 ROW_BLOCK N bytes: S M S is formed ROW_BLOCK rows at a
+    time, never whole, and only at the columns that are read.
     """
     grid = M.grid
     n = grid.n
@@ -207,35 +213,26 @@ def symbol_from_operator(M: OperatorMatrix) -> GridSymbol:
     rs = np.arange(-n // 4, n // 4)                    # |t| < L: beyond, the t-periodization image leaks in
     Ge = Kt[(idx[:, None] + rs) % n, (idx[:, None] - rs) % n]     # t = 2 r dx
     # t = 2 r dx + dx from S Kt S, the kernel at (x + h, y - h), h = dx/2, in blocks of
-    # its rows a: Go[i, c] = (S Kt S)[i + r_c, i - r_c] with i = a - r_c
-    S = _half_step_shift(grid)
+    # its rows a: Go[i, c] = (S Kt S)[i + r_c, i - r_c] with i = a - r_c.  Row a is read only
+    # at columns (a - 2 r) mod N, of a's parity, so S is held as its even and odd columns
+    halves = [_half_step_shift(grid, np.arange(p, n, 2)) for p in (0, 1)]
     Go = np.empty_like(Ge)
     cols = np.arange(rs.size)
+    S_rows = np.empty((min(ROW_BLOCK, n), n), dtype=complex)
     for a0 in range(0, n, ROW_BLOCK):
-        a = np.arange(a0, min(a0 + ROW_BLOCK, n))[:, None]
-        Go[(a - rs) % n, cols] = ((S[a0:a0 + ROW_BLOCK] @ Kt) @ S)[a - a0, (a - 2 * rs) % n]
-    del Kt, S
+        a = np.arange(a0, a0 + len(S_rows))[:, None]
+        S_rows[:, 0::2], S_rows[:, 1::2] = (half[a0:a0 + ROW_BLOCK] for half in halves)
+        SK = S_rows @ Kt
+        for p in (0, 1):                       # rows of parity p times columns of parity p
+            ap = a[p::2]
+            Go[(ap - rs) % n, cols] = (SK[p::2] @ halves[p])[(ap - a0) // 2, (ap - 2 * rs) % n // 2]
+    del Kt, halves, S_rows, SK
     xi = grid.axis()
     te = 2.0 * rs * dx
     samples = Ge @ (np.exp(-1j * np.outer(te, xi) / grid.hbar) * dx)
     del Ge
     samples += Go @ (np.exp(-1j * np.outer(te + dx, xi) / grid.hbar) * dx)
     return GridSymbol(grid, samples)
-
-
-def check_run_bytes(n: int, evolve: bool = False) -> int:
-    """Peak bytes of a `quantize` run (`egorov` with evolve) at N = n; ValueError above the cap.
-
-    The peak of `quantize` and `coherent` is symbol_from_operator beside the
-    operator: 4 complex N x N arrays.  That of `egorov` is heisenberg_evolve
-    beside Op(A) and Op(H): 5 arrays.  Either adds 256 ROW_BLOCK N bytes of
-    row blocks, the most any block loop of the run holds.
-    """
-    need = 16 * n * n * (5 if evolve else 4) + 256 * ROW_BLOCK * n
-    if need > RUN_BYTES_CAP:
-        raise ValueError(f"Nx = {n} needs about {need / 2 ** 30:.1f} GiB, above the "
-                         f"{RUN_BYTES_CAP >> 30} GiB cap of an operator run")
-    return need
 
 
 def quantize_via_covariant(A: SymbolEvaluator, grid: GridSpec) -> OperatorMatrix:

@@ -746,3 +746,109 @@ def test_coherent_subcommand():
     for row in data["result"]["rows"]:
         expected = 1.0 + row["hbar"] / 2.0
         assert abs(row["expectation"]["re"] - expected) < 1e-6
+
+
+# one refusal per rule of the front door (`limits.check_args`), each before numpy loads
+GRID_AB = ["--A", "gauss(1)", "--B", "gauss(1)"]
+FRONT_DOOR_REFUSALS = [
+    (["star", "--mode", "grid", *GRID_AB, "--N", "48"], "grid size must be a power of two, at least 16"),
+    (["quantize", "--A", "gauss(1)", "--Nx", "100"], "grid size must be a power of two, at least 16"),
+    (["star", "--mode", "grid", *GRID_AB, "--L", "nan"],
+     "box half-length and hbar must be finite and positive"),
+    (["star", "--mode", "grid", *GRID_AB, "--hbar", "nan"],
+     "box half-length and hbar must be finite and positive"),
+    (["remainder", *GRID_AB, "--orders", "1", "--hbars", "0.5,-1"],
+     "box half-length and hbar must be finite and positive"),
+    (["remainder", *GRID_AB, "--orders", "171", "--hbars", "0.5"],
+     "series order 171 exceeds 170, the largest whose weights 1/(a! b!) are floats"),
+    (["star", "--mode", "grid", *GRID_AB, "--N", "8192"],
+     "N = 8192 needs about 11.0 GiB, above the 4 GiB cap of a grid run"),
+    (["star", "--mode", "grid", *GRID_AB, "--N", "2048"],
+     "N = 2048 with 1 star product(s) needs about 9.45e+10 grid operations (N^3 log2 N each), "
+     "above the cap of 1.07e+10, one product at N = 1024"),
+    (["quantize", "--A", "gauss(1)", "--Nx", "8192"],
+     "Nx = 8192 needs about 4.1 GiB, above the 4 GiB cap of an operator run"),
+    (["star", "--A", "x", "--B", "xi", "--save", "prod"],
+     "--save stores a grid product: it needs --mode grid"),
+    (["star", "--mode", "grid", *GRID_AB, "--d", "3"], "--mode grid runs in dimension 1 only, got --d 3"),
+]
+
+
+@pytest.mark.parametrize("argv, message", FRONT_DOOR_REFUSALS,
+                         ids=["N-48", "Nx-100", "L-nan", "hbar-nan", "hbars-negative", "orders-171",
+                              "grid-bytes", "grid-work", "operator-bytes", "save-exact", "d-grid"])
+def test_front_door_refuses_before_numpy_loads(tmp_path, argv, message):
+    probe = ("import sys; from moyal_lab.cli import main; rc = main(sys.argv[1:]); "
+             "sys.stderr.write(f'exit {rc}, numpy loaded: {\"numpy\" in sys.modules}')")
+    out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                         cwd=tmp_path, env={**os.environ, "MOYAL_LAB_THREADS": "1"})
+    assert out.stdout == "" and list(tmp_path.iterdir()) == []
+    assert out.stderr.splitlines() == [f"moyal-lab: {message}", "exit 1, numpy loaded: False"]
+
+
+def test_save_needs_grid_mode(tmp_path, capsys):
+    # an exact product has no grid to store: refused, not silently ignored
+    path = tmp_path / "prod"
+    assert cli.main(["star", "--A", "x", "--B", "xi", "--save", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        "moyal-lab: --save stores a grid product: it needs --mode grid"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("d", ["3", "0"])
+def test_grid_star_refuses_other_dimensions(capsys, d):
+    assert cli.main(["star", "--mode", "grid", "--A", "gauss(1)", "--B", "gauss(1)", "--N", "16",
+                     "--d", d]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        f"moyal-lab: --mode grid runs in dimension 1 only, got --d {d}"]
+
+
+def test_grid_star_in_dimension_one_and_exact_dimensions_run(capsys):
+    argv = ["star", "--mode", "grid", "--A", "gauss(1)", "--B", "gauss(1)", "--N", "16"]
+    assert cli.main(argv + ["--d", "1"]) == 0
+    with_d = capsys.readouterr().out
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == with_d
+    assert cli.main(["star", "--d", "2", "--A", "x1", "--B", "xi2"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["d"] == 2
+
+
+def _benchmark_supports():
+    """The H supports of the `exact` benchmark classes, as polynomials with unit coefficients."""
+    import importlib.util
+    from fractions import Fraction
+
+    from moyal_lab.polysym import PolySymbol, Shape
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "wl_exact.py")
+    spec = importlib.util.spec_from_file_location("wl_exact", path)
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    return [PolySymbol(Shape(d), {e: Fraction(1) for e in wl.support(d, deg, n, "H")})
+            for d, deg, n in wl.CLASSES]
+
+
+def test_shifted_term_estimate_counts_the_taylor_shift():
+    # a term x^a xi^b shifts to the (a + 1)(b + 1) terms x^(a-c) y^c xi^(b-e) eta^e, and each
+    # of them names its source term, so for H in X alone the estimate is the shift's size
+    from moyal_lab.limits import check_shifted_terms
+    from moyal_lab.polysym import PolySymbol, Shape
+
+    operands = ([cli.lower_poly(cli.parse_symbol("x^3"))] + _benchmark_supports()
+                + [cli.lower_poly(cli.parse_symbol(e), d=d)
+                   for d, exprs in SHIFTED_TERMS_EXPRS.items() for e in exprs])
+    checked = 0
+    for H in operands:
+        try:
+            estimate = check_shifted_terms(H)
+        except ValueError:      # above the cap: the CLI never builds this shift
+            continue
+        d = H.shape.d
+        xy = Shape(d, True, False)
+        shift = [PolySymbol.var(xy, b, k) for b in ("y", "eta") for k in range(d)]
+        assert len(H.promoted(xy).translated(shift).num) == estimate
+        checked += 1
+    assert checked == 8
