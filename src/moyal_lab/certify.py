@@ -117,23 +117,30 @@ class Certificate(namedtuple("Certificate", "m degree equal witness failing_orde
                 f"{self.failing_order}: {self.witness!r})")
 
 
-def gvh_certificate(H: PolySymbol, m: int) -> Certificate:
-    """Decide whether the order-m truncated bracket is exact for H.
-
-    Returns Equal exactly when deg H <= 2m + 2; otherwise returns the
-    smallest failing odd order together with its witness polynomial.
+def gvh_certificates(H: PolySymbol, ms) -> list[Certificate]:
+    """Decide, for each m of the sequence `ms`, whether the order-m truncated bracket is exact
+    for H: Equal exactly when deg H <= 2m + 2, otherwise the smallest failing odd order 2m + 3
+    with its witness polynomial.  Every witness comes from one kernel call.
     """
-    if m < 0:
+    if any(m < 0 for m in ms):
         raise ValueError("truncation order must be >= 0")
     if H.shape.has_y or H.shape.has_hbar:
         raise ValueError("H must be a plain polynomial in X")
-    degH, order = H.degree(), 2 * m + 3
-    if degH < order:
-        return Certificate(m=m, degree=degH, equal=True)
-    w = bracket_term_exp(H, m + 1)      # nonzero, as deg H >= 2m + 3 (module docstring)
-    if w.is_zero:
-        raise ConventionError(f"the witness at bracket order {order} vanished for deg H = {degH}")
-    return Certificate(m=m, degree=degH, equal=False, witness=w, failing_order=order)
+    degH = H.degree()
+    orders = [2 * m + 3 for m in ms if 2 * m + 3 <= degH]
+    witnesses = _exp_bracket_terms(H, orders) if orders else {}
+    for order, w in witnesses.items():     # nonzero, as deg H >= order (module docstring)
+        if w.is_zero:
+            raise ConventionError(f"the witness at bracket order {order} vanished for "
+                                  f"deg H = {degH}")
+    return [Certificate(m=m, degree=degH, equal=True) if 2 * m + 3 > degH else
+            Certificate(m=m, degree=degH, equal=False, witness=witnesses[2 * m + 3],
+                        failing_order=2 * m + 3) for m in ms]
+
+
+def gvh_certificate(H: PolySymbol, m: int) -> Certificate:
+    """Decide whether the order-m truncated bracket is exact for H: `gvh_certificates` on [m]."""
+    return gvh_certificates(H, [m])[0]
 
 
 class MpcReport(namedtuple("MpcReport", "H lhs_closed_form c0 c1 c2 taylor_defect "

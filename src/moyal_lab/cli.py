@@ -1,13 +1,9 @@
-"""Command-line surface: moyal-lab <subcommand>.
-
-Subcommands: star, bracket, gvh, mpc, remainder, quantize, egorov,
-coherent.  Outputs are deterministic (sorted keys, exact rationals as
-"p/q" strings, shortest round-trip floats); every JSON payload carries the
-calibrated conventions table.  Exit codes: 0 success, 1 parse/config
-error or out of memory, 2 numeric tolerance, floating-point failure or a
-number too large for a float, 3 internal invariant failure or any other
-error; every failure prints one "moyal-lab: ..." line to stderr and nothing
-on stdout.
+"""Command-line surface: moyal-lab <subcommand>, as declared in `limits.COMMANDS` and
+`limits.OPTIONS`.  Outputs are deterministic (sorted keys, exact rationals as "p/q" strings,
+shortest round-trip floats); every JSON payload carries the calibrated conventions table.
+Exit codes: 0 success, 1 parse/config error or out of memory, 2 numeric tolerance,
+floating-point failure or a number too large for a float, 3 internal invariant failure or any
+other error; every failure prints one "moyal-lab: ..." line to stderr and nothing on stdout.
 
 The environment variable MOYAL_LAB_THREADS sets the worker threads of the
 numeric backends, 1 when unset, so that output does not depend on the
@@ -27,7 +23,8 @@ import sys
 
 from .conventions import CONVENTIONS
 from .exprparse import check_exact_pair, lower_poly, parse_symbol, pretty
-from .limits import ExprError, check_args, check_exact_rows, check_shifted_terms
+from .limits import (COMMANDS, OPTIONS, REQUIRED, ExprError, check_args, check_exact_rows,
+                     check_shifted_terms)
 from .polysym import PolySymbol
 from .star import ConventionError, HbarSeries, calibration_check
 
@@ -132,7 +129,6 @@ def cmd_star(args) -> int:
                    "result": series_json(prod)}, args)
         return EXIT_OK
     from .grid import GridSpec, sample, star_grid
-    from .gridio import save_grid_symbol
 
     spec = GridSpec(args.N, args.L, args.hbar)
     GA = sample(_eval_arg(args.A), spec)
@@ -140,6 +136,8 @@ def cmd_star(args) -> int:
     S = star_grid(GA, GB)
     origin = S.samples[spec.n // 2, spec.n // 2]
     if args.save:
+        from .gridio import save_grid_symbol
+
         save_grid_symbol(S, args.save)
     emit_json({"command": "star", "mode": "grid",
                "grid": {"N": spec.n, "L": spec.box, "hbar": spec.hbar},
@@ -170,15 +168,14 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_gvh(args) -> int:
-    from .certify import gvh_certificate
+    from .certify import gvh_certificates
 
     H, h_text = _poly_arg(args.H, args.d)
-    # one kernel call per m whose witness order 2m + 3 is at most deg H
+    # one witness order 2m + 3 per m up to --max-m, as far as deg H
     check_shifted_terms(H, len(range(3, min(H.degree(), 2 * args.max_m + 3) + 1, 2)))
     results = []
-    for m in range(args.max_m + 1):
-        cert = gvh_certificate(H, m)
-        entry = {"m": m, "equal": cert.equal, "degree": cert.degree}
+    for cert in gvh_certificates(H, range(args.max_m + 1)):
+        entry = {"m": cert.m, "equal": cert.equal, "degree": cert.degree}
         if not cert.equal:
             entry["failing_order"] = cert.failing_order
             entry["witness"] = poly_json(cert.witness)
@@ -212,22 +209,22 @@ def cmd_mpc(args) -> int:
 def cmd_remainder(args) -> int:
     from .grid import GridSpec, remainder_scaling_scan
 
-    spec = GridSpec(args.N, args.L, args.hbars_list[0])
+    spec = GridSpec(args.N, args.L, args.hbars[0])
     res = remainder_scaling_scan(_eval_arg(args.A), _eval_arg(args.B),
-                                 args.orders_list, args.hbars_list, spec)
+                                 args.orders, args.hbars, spec)
     if args.format == "csv":
         slopes = res["slopes"]
         emit_csv([("order", "hbar", "sup_norm"), *res["rows"], ("order", "slope", ""),
                   *[(o, "exact-within-noise" if slopes[o] is None else slopes[o], "")
-                    for o in args.orders_list]], args)
+                    for o in args.orders]], args)
     else:
         emit_json({"command": "remainder",
                    "grid": {"N": args.N, "L": args.L},
-                   "orders": args.orders_list, "hbars": args.hbars_list,
+                   "orders": args.orders, "hbars": args.hbars,
                    "result": {
                        "rows": [{"order": o, "hbar": h, "sup_norm": s}
                                 for o, h, s in res["rows"]],
-                       "slopes": {str(o): res["slopes"][o] for o in args.orders_list},
+                       "slopes": {str(o): res["slopes"][o] for o in args.orders},
                    }}, args)
     return EXIT_OK
 
@@ -236,7 +233,6 @@ def cmd_quantize(args) -> int:
     import numpy as np
 
     from .grid import GridSpec, sample
-    from .gridio import save_operator
     from .weylop import quantize_kernel, symbol_from_operator
 
     grid = GridSpec(args.Nx, args.L, args.hbar)
@@ -255,15 +251,16 @@ def cmd_quantize(args) -> int:
         return _fail(EXIT_TOLERANCE, f"round-trip error {err:.3g} of scale {scale:.3g} exceeds "
                                      f"--tol {args.tol:g}")
     if args.save:
+        from .gridio import save_operator
+
         save_operator(M, args.save)
-    payload = {"command": "quantize",
+    emit_json({"command": "quantize",
                "grid": {"Nx": grid.n, "L": grid.box, "hbar": grid.hbar},
-               "spectral": bool(args.spectral),
+               "spectral": args.spectral,
                "result": {"hermiticity_defect": herm,
                           "roundtrip_interior_sup_error": err,
                           "roundtrip_scale": scale,
-                          "saved": bool(args.save)}}
-    emit_json(payload, args)
+                          "saved": bool(args.save)}}, args)
     return EXIT_OK
 
 
@@ -297,7 +294,7 @@ def cmd_coherent(args) -> int:
     ev = _eval_arg(args.A)
     rows = []
     errs = []
-    for hbar in args.hbars_list:
+    for hbar in args.hbars:
         grid = GridSpec(args.Nx, args.L, hbar)
         phi = coherent_state((y, eta), grid)
         with warnings.catch_warnings():
@@ -312,7 +309,7 @@ def cmd_coherent(args) -> int:
                      "symbol_at_Y": {"re": val.real, "im": val.imag},
                      "abs_error": err})
     slope = None
-    pts = [(h, e) for h, e in zip(args.hbars_list, errs) if e > 1e-14]
+    pts = [(h, e) for h, e in zip(args.hbars, errs) if e > 1e-14]
     if len(pts) >= 2:
         slope = float(np.polyfit(np.log([p[0] for p in pts]),
                                  np.log([p[1] for p in pts]), 1)[0])
@@ -331,92 +328,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of `limits.COMMANDS` and `limits.OPTIONS`; an option not given stays unset."""
     p = _Parser(prog="moyal-lab",
                 description="Star products, bracket certificates, and Weyl "
                             "quantization on phase space")
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    def common(sp, d=True):
-        sp.add_argument("--out", help="write output to a file instead of stdout")
-        if d:
-            sp.add_argument("--d", type=int, default=1, help="phase-space dimension")
-
-    sp = sub.add_parser("star", help="Moyal product, exact or on the grid")
-    sp.add_argument("--A", required=True)
-    sp.add_argument("--B", required=True)
-    sp.add_argument("--mode", choices=("exact", "grid"), default="exact")
-    sp.add_argument("--N", type=int, default=64)
-    sp.add_argument("--L", type=float, default=6.0)
-    sp.add_argument("--hbar", type=float, default=1.0)
-    sp.add_argument("--save", help="store the grid result (binary + sidecar)")
-    common(sp)
-    sp.set_defaults(func=cmd_star)
-
-    sp = sub.add_parser("bracket", help="Poisson / Moyal / truncated brackets")
-    sp.add_argument("--A", required=True)
-    sp.add_argument("--H", required=True)
-    sp.add_argument("--mode", choices=("poisson", "moyal", "truncated", "both"),
-                    default="both")
-    sp.add_argument("--m", type=int, default=0, help="truncation order")
-    common(sp)
-    sp.set_defaults(func=cmd_bracket)
-
-    sp = sub.add_parser("gvh", help="bracket-equality certificates")
-    sp.add_argument("--H", required=True)
-    sp.add_argument("--max-m", dest="max_m", type=int, default=0)
-    common(sp)
-    sp.set_defaults(func=cmd_gvh)
-
-    sp = sub.add_parser("mpc", help="conjugation-identity expansion report")
-    sp.add_argument("--H", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_mpc)
-
-    sp = sub.add_parser("remainder", help="series-remainder scaling scan")
-    sp.add_argument("--A", required=True)
-    sp.add_argument("--B", required=True)
-    sp.add_argument("--orders", required=True)
-    sp.add_argument("--hbars", required=True)
-    sp.add_argument("--N", type=int, default=64)
-    sp.add_argument("--L", type=float, default=8.0)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    common(sp, d=False)
-    sp.set_defaults(func=cmd_remainder)
-
-    sp = sub.add_parser("quantize", help="build a Weyl operator and round-trip it")
-    sp.add_argument("--A", required=True)
-    sp.add_argument("--Nx", type=int, default=128)
-    sp.add_argument("--L", type=float, default=8.0)
-    sp.add_argument("--hbar", type=float, default=1.0)
-    sp.add_argument("--spectral", action="store_true",
-                    help="exact periodic spectral lattice; the round trip recovers position "
-                         "polynomials and Gaussian-enveloped terms, and a term in xi "
-                         "without a Gaussian envelope exits 1")
-    sp.add_argument("--tol", type=float, default=1e-5)
-    sp.add_argument("--save", help="store the operator (binary + sidecar)")
-    common(sp, d=False)
-    sp.set_defaults(func=cmd_quantize)
-
-    sp = sub.add_parser("egorov", help="quadratic quantum vs classical transport")
-    sp.add_argument("--A", required=True)
-    sp.add_argument("--H", required=True)
-    sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--Nx", type=int, default=256)
-    sp.add_argument("--L", type=float, default=8.0)
-    sp.add_argument("--hbar", type=float, default=1.0)
-    sp.add_argument("--tol", type=float, default=1e-4)
-    common(sp, d=False)
-    sp.set_defaults(func=cmd_egorov)
-
-    sp = sub.add_parser("coherent", help="coherent-state expectation sweep")
-    sp.add_argument("--A", required=True)
-    sp.add_argument("--Y", required=True, help="y,eta")
-    sp.add_argument("--hbars", required=True)
-    sp.add_argument("--Nx", type=int, default=256)
-    sp.add_argument("--L", type=float, default=8.0)
-    common(sp, d=False)
-    sp.set_defaults(func=cmd_coherent)
-
+    for cmd, (text, modes, _) in COMMANDS.items():
+        sp = sub.add_parser(cmd, help=text, argument_default=argparse.SUPPRESS)
+        if len(modes) > 1:
+            sp.add_argument("--mode", choices=modes)
+        for flag, (kind, defaults, _, _, does) in OPTIONS.items():
+            if cmd in defaults:
+                how = ({"action": "store_true"} if kind is bool else
+                       {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+                sp.add_argument(flag, required=defaults[cmd] is REQUIRED, help=does, **how)
+        sp.set_defaults(func=globals()["cmd_" + cmd])
     return p
 
 
@@ -426,8 +352,7 @@ def main(argv=None) -> int:
     threads = os.environ.get("MOYAL_LAB_THREADS") or "1"
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, threads)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # a failure prints its one line only; a success shows the warnings its run raised
     with warnings.catch_warnings(record=True) as caught:
         code = _run(args)

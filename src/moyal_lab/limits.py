@@ -1,4 +1,6 @@
-"""Every input rule and resource cap of moyal-lab, defined once; this module loads no numpy.
+"""Every option, input rule and resource cap of moyal-lab, defined once; this module loads no
+numpy.  The option table (COMMANDS and OPTIONS) builds the command-line parser and the option
+part of its front door, `check_args`.
 
 A refusal is a ValueError (an ExprError when it points into an expression) whose one line names
 the estimate and the cap; the CLI exits 1 on it.  A cap bounds resources and changes no result.
@@ -11,7 +13,7 @@ MAX_COEFFICIENT_BITS = 4096     # numerator or denominator of one coefficient
 MAX_EXACT_PAIRS = 10 ** 6       # term pairs of one exact product or bracket
 MAX_EXACT_PAIR_ROWS = 2 * 10 ** 6   # lowered term pairs x series orders; see README
 MAX_EXACT_DIMENSION = 64        # phase-space dimension d: every term carries 2d exponents
-MAX_SHIFTED_TERMS = 10 ** 5       # shifted terms x kernel calls of one gvh or mpc run; see README
+MAX_SHIFTED_TERMS = 10 ** 5       # shifted terms x witness orders of a gvh or mpc run; see README
 # gvh prints one row per m; deg H <= 2m + 2 certifies Equal, so from this m on every H within
 # the exact degree cap gives the same row
 MAX_TRUNCATION_ORDER = MAX_EXACT_DEGREE // 2 - 1
@@ -68,12 +70,12 @@ def check_exact_rows(A, B) -> int:
     return _check_exact("pair-row estimate", rows, MAX_EXACT_PAIR_ROWS)
 
 
-def check_shifted_terms(H, calls: int = 1) -> int:
+def check_shifted_terms(H, orders: int = 1) -> int:
     """Refuse a one-operand run (gvh, mpc) when its shifted terms, the sum over the terms of H of
-    prod_k (a_k + 1)(b_k + 1), times its kernel calls exceed the cap: a Taylor shift of H, and
+    prod_k (a_k + 1)(b_k + 1), times its witness orders exceed the cap: a Taylor shift of H, and
     the kernel's shifted operand, hold up to that many terms."""
     d = H.shape.d
-    work = calls * sum(prod((e[k] + 1) * (e[d + k] + 1) for k in range(d)) for e in H.num)
+    work = orders * sum(prod((e[k] + 1) * (e[d + k] + 1) for k in range(d)) for e in H.num)
     return _check_exact("shifted-term estimate", work, MAX_SHIFTED_TERMS)
 
 
@@ -136,55 +138,119 @@ def check_series_orders(orders) -> None:
                          f"weights 1/(a! b!) are floats")
 
 
-def _num_list(text: str, kind=float, name: str = "") -> list:
-    """The comma-separated numbers of `text`; at least one when the option `name` is given."""
-    try:
-        values = [kind(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
-        raise ExprError(f"bad numeric list {text!r}", 0) from exc
-    if name and not values:
-        raise ValueError(f"{name} needs at least one value")
-    return values
+REQUIRED = ...      # the default of an option that every run of its subcommand gives
+
+
+def _on(names: str, default=REQUIRED) -> dict:
+    return dict.fromkeys(names.split(), default)
+
+
+def _need(*checks):
+    """The value rule of (ok, message) pairs: the value once every ok(value) holds, in order."""
+    def rule(value, mode=None):
+        for ok, message in checks:
+            if not ok(value):
+                raise ValueError(message)
+        return value
+    return rule
+
+
+def _numbers(kind, *checks):
+    """The value rule of a comma-separated list: its numbers of `kind`, once `checks` hold."""
+    def rule(text, mode=None):
+        try:
+            values = [kind(t) for t in text.split(",") if t.strip()]
+        except ValueError as exc:
+            raise ExprError(f"bad numeric list {text!r}", 0) from exc
+        return _need(*checks)(values)
+    return rule
+
+
+def _dimension(d: int, mode: str) -> int:
+    """The rule of --d: 1 in grid mode, else the exact engine's dimension rule."""
+    if mode == "grid" and d != 1:
+        raise ValueError(f"--mode grid runs in dimension 1 only, got --d {d}")
+    check_dimension(d)
+    return d
+
+
+# subcommand: (help, its modes, the default mode); --mode chooses when there are two or more
+COMMANDS = {
+    "star": ("Moyal product, exact or on the grid", ("exact", "grid"), "exact"),
+    "bracket": ("Poisson / Moyal / truncated brackets", ("poisson", "moyal", "truncated", "both"),
+                "both"),
+    "gvh": ("bracket-equality certificates", ("exact",), "exact"),
+    "mpc": ("conjugation-identity expansion report", ("exact",), "exact"),
+    "remainder": ("series-remainder scaling scan", ("grid",), "grid"),
+    "quantize": ("build a Weyl operator and round-trip it", ("grid",), "grid"),
+    "egorov": ("quadratic quantum vs classical transport", ("grid",), "grid"),
+    "coherent": ("coherent-state expectation sweep", ("grid",), "grid"),
+}
+
+# Every option, in the order the front door checks them.  flag: (type, a bool being a switch
+# and a tuple the choices; {subcommand: default}; the one mode that reads it, None for every
+# mode; value rule (value, mode) -> value; what it does)
+OPTIONS = {
+    "--A": (str, _on("star bracket remainder quantize egorov coherent"), None, None, None),
+    "--B": (str, _on("star remainder"), None, None, None),
+    "--H": (str, _on("bracket gvh mpc egorov"), None, None, None),
+    "--t": (float, _on("egorov"), None, _need((isfinite, "--t must be finite")), None),
+    "--orders": (str, _on("remainder"), None,
+                 _numbers(int, (bool, "--orders needs at least one value")), None),
+    "--Y": (str, _on("coherent"), None,
+            _numbers(float, (lambda v: len(v) == 2 and all(map(isfinite, v)),
+                             "--Y needs two finite numbers y,eta")), "y,eta"),
+    "--hbars": (str, _on("remainder coherent"), None,
+                _numbers(float, (bool, "--hbars needs at least one value")), None),
+    "--m": (int, _on("bracket", 0), "truncated",
+            _need((lambda m: m >= 0, "truncation order must be >= 0")),
+            "sets the truncation order"),
+    "--max-m": (int, _on("gvh", 0), None,
+                _need((lambda m: m >= 0, "--max-m must be >= 0"),
+                      (lambda m: m <= MAX_TRUNCATION_ORDER,
+                       f"--max-m must be at most {MAX_TRUNCATION_ORDER}: every H within the "
+                       f"degree cap of {MAX_EXACT_DEGREE} is Equal from there on")), None),
+    "--N": (int, _on("star remainder", 64), "grid", None, "sets the grid size"),
+    "--Nx": (int, {"quantize": 128, "egorov": 256, "coherent": 256}, None, None, None),
+    "--L": (float, {"star": 6.0, **_on("remainder quantize egorov coherent", 8.0)}, "grid", None,
+            "sets the box half-length"),
+    "--hbar": (float, _on("star quantize egorov", 1.0), "grid", None, "sets the grid's hbar"),
+    "--spectral": (bool, _on("quantize", False), None, None,
+                   "exact periodic spectral lattice; a term in xi needs a Gaussian envelope"),
+    "--tol": (float, {"quantize": 1e-5, "egorov": 1e-4}, None,
+              _need((lambda t: 0 <= t < inf, "--tol must be finite and >= 0")), None),
+    "--save": (str, _on("star quantize", None), "grid", None, "stores a grid product"),
+    "--format": (("json", "csv"), _on("remainder", "json"), None, None, None),
+    "--out": (str, dict.fromkeys(COMMANDS), None, None, "writes the output to a file"),
+    "--d": (int, _on("star bracket gvh mpc", 1), None, _dimension, "phase-space dimension"),
+}
 
 
 def check_args(args) -> bool:
-    """The command line's front door: refuse parsed `args` by every rule that needs no operand,
-    before any operand is parsed or numpy loads, and say whether the run is numeric.
+    """The command line's front door: give parsed `args` the default of each option not given
+    and refuse them by every rule that needs no operand, before any operand is parsed or numpy
+    loads; say whether the run is numeric.
 
-    The order is fixed: option values, mode/option consistency, the lattice (N or Nx, L, every
-    hbar), the memory and work caps, the series orders.  --hbars, --orders and --Y are parsed in
-    place, into `hbars_list`, `orders_list` and `Y`.  The exact caps need the operands, and so do
-    egorov's deg H <= 2 and the envelope rule of `quantize --spectral`: they run where the
-    operand is parsed.
+    The order is fixed: each option in table order (given but not read by the run's mode, then
+    its value rule; lists are parsed in place), the lattice (N or Nx, L, every hbar), the memory
+    and work caps, the series orders.  The rules that need an operand run where it is parsed.
     """
-    if hasattr(args, "hbars"):
-        args.hbars_list = _num_list(args.hbars, float, "--hbars")
-    if hasattr(args, "orders"):
-        args.orders_list = _num_list(args.orders, int, "--orders")
-    if hasattr(args, "Y"):
-        args.Y = _num_list(args.Y)
-        if len(args.Y) != 2 or not all(map(isfinite, args.Y)):
-            raise ValueError("--Y needs two finite numbers y,eta")
-    if not isfinite(getattr(args, "t", 0.0)):
-        raise ValueError("--t must be finite")
-    if not 0 <= getattr(args, "tol", 0.0) < inf:
-        raise ValueError("--tol must be finite and >= 0")
-    if getattr(args, "max_m", 0) < 0:
-        raise ValueError("--max-m must be >= 0")
-    if getattr(args, "max_m", 0) > MAX_TRUNCATION_ORDER:
-        raise ValueError(f"--max-m must be at most {MAX_TRUNCATION_ORDER}: every H within the "
-                         f"degree cap of {MAX_EXACT_DEGREE} is Equal from there on")
-
-    numeric = args.cmd not in ("gvh", "mpc") and getattr(args, "mode", "grid") == "grid"
-    if args.cmd == "star" and args.save and not numeric:
-        raise ValueError("--save stores a grid product: it needs --mode grid")
-    if not numeric:
+    args.mode = getattr(args, "mode", COMMANDS[args.cmd][2])
+    for flag, (_, defaults, reads, rule, does) in OPTIONS.items():
+        dest = flag[2:].replace("-", "_")
+        if args.cmd not in defaults:
+            continue
+        if not hasattr(args, dest):
+            setattr(args, dest, defaults[args.cmd])
+        elif reads and args.mode != reads:
+            raise ValueError(f"{flag} {does}: it needs --mode {reads}")
+        elif rule:
+            setattr(args, dest, rule(getattr(args, dest), args.mode))
+    if args.mode != "grid":
         return False
-    if args.cmd == "star" and args.d != 1:
-        raise ValueError(f"--mode grid runs in dimension 1 only, got --d {args.d}")
 
     n = args.N if hasattr(args, "N") else args.Nx
-    hbars = args.hbars_list if hasattr(args, "hbars_list") else [args.hbar]
+    hbars = args.hbars if hasattr(args, "hbars") else [args.hbar]
     for hbar in hbars:
         check_lattice(n, args.L, hbar)
     if hasattr(args, "N"):      # star products on the phase-space grid: star and remainder
@@ -192,5 +258,5 @@ def check_args(args) -> bool:
         check_grid_work(n, len(hbars))
     else:                       # operators on the position grid: quantize, egorov, coherent
         check_run_bytes(n, evolve=args.cmd == "egorov")
-    check_series_orders(getattr(args, "orders_list", ()))
+    check_series_orders(getattr(args, "orders", ()))
     return True

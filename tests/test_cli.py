@@ -852,3 +852,135 @@ def test_shifted_term_estimate_counts_the_taylor_shift():
         assert len(H.promoted(xy).translated(shift).num) == estimate
         checked += 1
     assert checked == 8
+
+
+# the options each subcommand declares, from the one table that builds the parser and the front
+# door: an option given on the command line that the run's mode does not read is refused
+NUMPY_PROBE = ("import sys; from moyal_lab.cli import main; rc = main(sys.argv[1:]); "
+               "sys.stderr.write(f'exit {rc}, numpy loaded: {\"numpy\" in sys.modules}')")
+OPERANDS = {"--A": "x", "--B": "xi", "--H": "x^3", "--t": "0.5", "--orders": "1", "--Y": "1,0.5",
+            "--hbars": "0.5"}
+UNREAD_VALUES = {int: "16", float: "0.5", str: "prod"}     # each valid where the option is read
+
+
+def _unread_options() -> list:
+    """(argv, option, the mode that reads it) for every subcommand, mode and unread option."""
+    from moyal_lab.limits import COMMANDS, OPTIONS, REQUIRED
+
+    cases = []
+    for cmd, (_, modes, _) in COMMANDS.items():
+        needed = [arg for flag, (_, defaults, *_) in OPTIONS.items()
+                  if defaults.get(cmd) is REQUIRED for arg in (flag, OPERANDS[flag])]
+        for mode in modes:
+            chosen = ["--mode", mode] if len(modes) > 1 else []
+            cases += [([cmd, *chosen, *needed, flag, UNREAD_VALUES[kind]], flag, reads)
+                      for flag, (kind, defaults, reads, _, _) in OPTIONS.items()
+                      if cmd in defaults and reads not in (None, mode)]
+    return cases
+
+
+UNREAD_OPTIONS = _unread_options()
+
+
+@pytest.mark.parametrize("argv, flag, reads", UNREAD_OPTIONS,
+                         ids=[f"{argv[0]}-{argv[2]}-{flag[2:]}" for argv, flag, _ in UNREAD_OPTIONS])
+def test_unread_option_exits_before_numpy_loads(tmp_path, argv, flag, reads):
+    out = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], capture_output=True,
+                         text=True, cwd=tmp_path, env={**os.environ, "MOYAL_LAB_THREADS": "1"})
+    assert out.stdout == "" and list(tmp_path.iterdir()) == []
+    line, probe = out.stderr.splitlines()
+    assert probe == "exit 1, numpy loaded: False"
+    assert line.startswith(f"moyal-lab: {flag} ") and line.endswith(f": it needs --mode {reads}")
+
+
+def test_unread_options_cover_grid_star_and_truncated_bracket_options():
+    assert sorted((argv[0], argv[2], flag) for argv, flag, _ in UNREAD_OPTIONS) == [
+        ("bracket", "both", "--m"), ("bracket", "moyal", "--m"), ("bracket", "poisson", "--m"),
+        ("star", "exact", "--L"), ("star", "exact", "--N"), ("star", "exact", "--hbar"),
+        ("star", "exact", "--save")]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bracket", "--A", "x", "--H", "xi", "--mode", "truncated", "--m", "-1"],
+     "truncation order must be >= 0"),
+    (["star", "--d", "0", "--A", "x", "--B", "xi"], "dimension must be >= 1, got 0"),
+    (["star", "--d", "65", "--A", "x1", "--B", "xi1"],
+     "dimension 65 exceeds the exact engine's cap of 64"),
+    (["bracket", "--d", "-1", "--A", "x", "--H", "xi"], "dimension must be >= 1, got -1"),
+    (["gvh", "--d", "1000000000", "--H", "x1^3"],
+     "dimension 1000000000 exceeds the exact engine's cap of 64"),
+    (["mpc", "--d", "0", "--H", "x^3"], "dimension must be >= 1, got 0"),
+    (["star", "--mode", "grid", "--d", "0", *GRID_AB, "--N", "16"],
+     "--mode grid runs in dimension 1 only, got --d 0"),
+    (["star", "--mode", "grid", "--d", "65", *GRID_AB, "--N", "16"],
+     "--mode grid runs in dimension 1 only, got --d 65"),
+], ids=["m-negative", "star-d-0", "star-d-65", "bracket-d-negative", "gvh-d-huge", "mpc-d-0",
+        "grid-d-0", "grid-d-65"])
+def test_option_rules_refuse_before_any_operand_is_parsed(monkeypatch, capsys, argv, message):
+    parsed = []
+    monkeypatch.setattr(cli, "parse_symbol", lambda *a: parsed.append(a))
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [f"moyal-lab: {message}"] and parsed == []
+
+
+def test_gvh_takes_every_witness_from_one_kernel_call(monkeypatch, capsys):
+    from moyal_lab import certify
+
+    text, max_m = "(x+xi+1)^12", 7
+    H = cli.lower_poly(cli.parse_symbol(text))
+    results = []
+    for m in range(max_m + 1):      # one single-order kernel call per m
+        cert = certify.gvh_certificate(H, m)
+        entry = {"m": m, "equal": cert.equal, "degree": cert.degree}
+        if not cert.equal:
+            entry.update(failing_order=cert.failing_order, witness=cli.poly_json(cert.witness))
+        results.append(entry)
+    cli.emit_json({"command": "gvh", "d": 1, "H": cli.pretty(cli.parse_symbol(text)),
+                   "results": results}, None)
+    expected = capsys.readouterr().out
+    orders, kernel = [], certify._bidifferential
+    monkeypatch.setattr(certify, "_bidifferential",
+                        lambda *a, **k: orders.append(list(a[2])) or kernel(*a, **k))
+    assert cli.main(["gvh", "--H", text, "--max-m", str(max_m)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out == expected and orders == [[3, 5, 7, 9, 11]]
+    assert [r["equal"] for r in json.loads(out)["results"]] == [False] * 5 + [True] * 3
+
+
+@pytest.mark.parametrize("save", [False, True], ids=["no-save", "save"])
+def test_grid_star_loads_gridio_only_to_save(tmp_path, save):
+    argv = ["star", "--mode", "grid", *GRID_AB, "--N", "16"]
+    argv += ["--save", str(tmp_path / "prod")] if save else []
+    loaded = _loaded_modules(f"{LIST_MODULES}; {LAUNCH}", *argv)
+    assert "moyal_lab.grid" in loaded and ("moyal_lab.gridio" in loaded) == save
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["prod.bin", "prod.json"] if save else [])
+
+
+def _readme_examples() -> list:
+    """The invocations of the code block under README's "Command line", each as its argv."""
+    import shlex
+
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```")[0]
+    return [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: argv[1])
+def test_readme_examples_run(monkeypatch, capsys, argv):
+    import csv
+
+    monkeypatch.setenv("MOYAL_LAB_THREADS", "1")
+    assert argv[0] == "moyal-lab" and cli.main(argv[1:]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if argv[-2:] == ["--format", "csv"]:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["order", "hbar", "sup_norm"] and all(len(r) == 3 for r in rows)
+    else:
+        assert json.loads(out)["command"] == argv[1]
+
+
+def test_readme_has_the_nine_examples():
+    assert [argv[1] for argv in _readme_examples()] == [
+        "star", "star", "bracket", "gvh", "mpc", "remainder", "quantize", "egorov", "coherent"]
