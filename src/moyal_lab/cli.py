@@ -287,19 +287,23 @@ def cmd_coherent(args) -> int:
 
     import numpy as np
 
-    from .grid import GridSpec
-    from .weylop import coherent_state, expectation, quantize_kernel
+    from .grid import GridSpec, loglog_slope
+    from .weylop import STATE_NORM_TOL, coherent_state, expectation, quantize_kernel
 
     y, eta = args.Y
     ev = _eval_arg(args.A)
+    states = [coherent_state((y, eta), GridSpec(args.Nx, args.L, hbar)) for hbar in args.hbars]
+    for hbar, phi in zip(args.hbars, states):
+        defect = phi.norm() ** 2 - 1.0
+        if not abs(defect) <= STATE_NORM_TOL:
+            return _fail(EXIT_TOLERANCE, f"coherent state at hbar {hbar:g}: squared norm on the grid "
+                                         f"minus 1 is {defect:.3g}, beyond {STATE_NORM_TOL:g}")
     rows = []
     errs = []
-    for hbar in args.hbars:
-        grid = GridSpec(args.Nx, args.L, hbar)
-        phi = coherent_state((y, eta), grid)
+    for hbar, phi in zip(args.hbars, states):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            op = quantize_kernel(ev, grid)
+            op = quantize_kernel(ev, phi.grid)
         e = expectation(op, phi)
         del op      # the next hbar's operator is built without this one alive
         val = complex(ev(np.array(y), np.array(eta)))
@@ -308,15 +312,10 @@ def cmd_coherent(args) -> int:
         rows.append({"hbar": hbar, "expectation": {"re": e.real, "im": e.imag},
                      "symbol_at_Y": {"re": val.real, "im": val.imag},
                      "abs_error": err})
-    slope = None
-    pts = [(h, e) for h, e in zip(args.hbars, errs) if e > 1e-14]
-    if len(pts) >= 2:
-        slope = float(np.polyfit(np.log([p[0] for p in pts]),
-                                 np.log([p[1] for p in pts]), 1)[0])
     emit_json({"command": "coherent",
                "grid": {"Nx": args.Nx, "L": args.L},
                "Y": {"y": y, "eta": eta},
-               "result": {"rows": rows, "slope": slope}}, args)
+               "result": {"rows": rows, "slope": loglog_slope(args.hbars, errs, 1e-14)}}, args)
     return EXIT_OK
 
 
@@ -327,14 +326,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of `limits.COMMANDS` and `limits.OPTIONS`; an option not given stays unset."""
+def build_parser(argv: list) -> argparse.ArgumentParser:
+    """The parser of `limits.COMMANDS` and `limits.OPTIONS` for the command line `argv`; an option
+    not given stays unset.  Every subcommand is listed, but only the one that `argv` names (its
+    first argument that is not an option) gets its options, or every one if it names none."""
+    named = next((a for a in argv if not a.startswith("-")), None)
     p = _Parser(prog="moyal-lab",
                 description="Star products, bracket certificates, and Weyl "
                             "quantization on phase space")
     sub = p.add_subparsers(dest="cmd", required=True)
     for cmd, (text, modes, _) in COMMANDS.items():
         sp = sub.add_parser(cmd, help=text, argument_default=argparse.SUPPRESS)
+        sp.set_defaults(func=globals()["cmd_" + cmd])
+        if named in COMMANDS and named != cmd:
+            continue
         if len(modes) > 1:
             sp.add_argument("--mode", choices=modes)
         for flag, (kind, defaults, _, _, does) in OPTIONS.items():
@@ -342,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
                 how = ({"action": "store_true"} if kind is bool else
                        {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
                 sp.add_argument(flag, required=defaults[cmd] is REQUIRED, help=does, **how)
-        sp.set_defaults(func=globals()["cmd_" + cmd])
     return p
 
 
@@ -352,7 +356,8 @@ def main(argv=None) -> int:
     threads = os.environ.get("MOYAL_LAB_THREADS") or "1"
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, threads)
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     # a failure prints its one line only; a success shows the warnings its run raised
     with warnings.catch_warnings(record=True) as caught:
         code = _run(args)

@@ -146,12 +146,18 @@ class GaussAtom:
 
 
 class SymbolEvaluator:
-    """A sum of GaussAtom terms, queryable pointwise and for derivatives."""
+    """A sum of GaussAtom terms, one per envelope, queryable pointwise and for derivatives."""
 
     __slots__ = ("atoms",)
 
     def __init__(self, atoms):
-        self.atoms = [a for a in atoms if a.poly.any()]
+        merged = {}     # envelope (Q, center, k) bytes -> its one atom, in first-seen order
+        for a in atoms:
+            key = tuple(None if v is None else v.tobytes() for v in (a.Q, a.center, a.k))
+            if key in merged:
+                a = GaussAtom(np_add(merged[key].poly, a.poly), a.Q, a.center, a.k)
+            merged[key] = a
+        self.atoms = [a for a in merged.values() if a.poly.any()]
 
     # -- constructors ------------------------------------------------------
 
@@ -228,21 +234,15 @@ def _cj_eval(A: SymbolEvaluator, B: SymbolEvaluator, j: int) -> SymbolEvaluator:
     """C_j by analytic differentiation of evaluators (d = 1)."""
     from math import factorial
 
+    def deriv(f, bx, bxi):
+        for block in ("xi",) * bxi + ("x",) * bx:
+            f = f.partial(block)
+        return f
+
     acc = SymbolEvaluator.zero()
-    dA: dict[tuple[int, int], SymbolEvaluator] = {(0, 0): A}
-    dB: dict[tuple[int, int], SymbolEvaluator] = {(0, 0): B}
-
-    def deriv(cache, base, bx, bxi):
-        if (bx, bxi) not in cache:
-            if bx:
-                cache[(bx, bxi)] = deriv(cache, base, bx - 1, bxi).partial("x")
-            else:
-                cache[(bx, bxi)] = deriv(cache, base, 0, bxi - 1).partial("xi")
-        return cache[(bx, bxi)]
-
     for a in range(j + 1):
         b = j - a
-        term = deriv(dA, A, b, a) * deriv(dB, B, a, b)
+        term = deriv(A, b, a) * deriv(B, a, b)
         acc = acc + term.scaled((-1.0) ** b / (factorial(a) * factorial(b)))
     return acc.scaled((-0.5j) ** j)
 

@@ -316,20 +316,19 @@ def _lower(node: Node, shape: Shape, leaf) -> dict:
     return go(node)
 
 
-def lower_poly(node: Node, d: int = 1, allow_y: bool = False,
-               allow_hbar: bool = False) -> PolySymbol:
-    """Lower to an exact PolySymbol; gauss factors are rejected here, and so are
-    degree and coefficient-size bounds above their caps."""
+def lower_poly(node: Node, d: int = 1) -> PolySymbol:
+    """Lower to an exact PolySymbol in X; gauss factors, test-point variables and hbar are
+    rejected here, and so are degree and coefficient-size bounds above their caps."""
     check_dimension(d)
-    shape = Shape(d, allow_y, allow_hbar)
+    shape = Shape(d)
 
     def leaf(n):
         if isinstance(n, Gauss):
             raise ExprError("gauss envelope requires a numeric context", n.span[0])
         block, axis = _var_target(n, d)
-        if block in ("y", "eta") and not allow_y:
+        if block in ("y", "eta"):
             raise ExprError(f"test-point variable {n.name!r} not allowed here", n.span[0])
-        if block == "hbar" and not allow_hbar:
+        if block == "hbar":
             raise ExprError("hbar not allowed here", n.span[0])
         return {None: PolySymbol.var(shape, block, axis)}
 

@@ -30,8 +30,8 @@ import numpy as np
 
 from .evaluators import SymbolEvaluator
 # the caps and checks that lived here stay importable from this module
-from .limits import (GRID_WORK_CAP, ROW_BLOCK, RUN_BYTES_CAP, check_grid_bytes,  # noqa: F401
-                     check_grid_work, check_lattice, check_series_orders)
+from .limits import (GRID_WORK_CAP, ROW_BLOCK, RUN_BYTES_CAP, check_distinct_hbars,  # noqa: F401
+                     check_grid_bytes, check_grid_work, check_lattice, check_series_orders)
 
 BOUNDARY_DECAY = 1e-12
 ORACLE_TOL = 1e-6
@@ -245,24 +245,22 @@ def remainder_scaling_scan(A: SymbolEvaluator, B: SymbolEvaluator,
     noise"): linear inputs make every remainder vanish identically.
     """
     check_series_orders(orders)
+    check_distinct_hbars(hbars)
     specs = [GridSpec(spec.n, spec.box, h) for h in hbars]     # every hbar checked before sampling
-    rows = []
-    slopes = {}
-    sups: dict[int, list[tuple[float, float]]] = {o: [] for o in orders}
-    for h, sp in zip(hbars, specs):
-        by_order = _remainder_sups(A, B, max(orders), h, sp)
-        for order in orders:
-            rows.append((order, float(h), by_order[order]))
-            sups[order].append((float(h), by_order[order]))
-    for order in orders:
-        pts = [(h, s) for h, s in sups[order] if s > 1e-12]
-        if len(pts) < 2:
-            slopes[order] = None
-        else:
-            lh = np.log([p[0] for p in pts])
-            ls = np.log([p[1] for p in pts])
-            slopes[order] = float(np.polyfit(lh, ls, 1)[0])
+    sups = [_remainder_sups(A, B, max(orders), h, sp) for h, sp in zip(hbars, specs)]
+    rows = [(order, float(h), by_order[order]) for h, by_order in zip(hbars, sups) for order in orders]
+    slopes = {order: loglog_slope(hbars, [by_order[order] for by_order in sups], 1e-12)
+              for order in orders}
     return {"rows": rows, "slopes": slopes}
+
+
+def loglog_slope(hbars, values, floor: float):
+    """Least-squares slope of log value against log hbar over the values above `floor`; None
+    when fewer than two are."""
+    pts = [(h, v) for h, v in zip(hbars, values) if v > floor]
+    if len(pts) < 2:
+        return None
+    return float(np.polyfit(np.log([p[0] for p in pts]), np.log([p[1] for p in pts]), 1)[0])
 
 
 def _remainder_sups(A: SymbolEvaluator, B: SymbolEvaluator, top: int, h,

@@ -138,6 +138,13 @@ def check_series_orders(orders) -> None:
                          f"weights 1/(a! b!) are floats")
 
 
+def check_distinct_hbars(hbars) -> list:
+    """Refuse an hbar sweep that repeats a value: a slope fitted to it would count one point twice."""
+    if len(set(hbars)) < len(hbars):
+        raise ValueError(f"hbar values must be distinct, got {list(hbars)}")
+    return hbars
+
+
 REQUIRED = ...      # the default of an option that every run of its subcommand gives
 
 
@@ -201,7 +208,8 @@ OPTIONS = {
             _numbers(float, (lambda v: len(v) == 2 and all(map(isfinite, v)),
                              "--Y needs two finite numbers y,eta")), "y,eta"),
     "--hbars": (str, _on("remainder coherent"), None,
-                _numbers(float, (bool, "--hbars needs at least one value")), None),
+                lambda text, mode=None: check_distinct_hbars(
+                    _numbers(float, (bool, "--hbars needs at least one value"))(text)), None),
     "--m": (int, _on("bracket", 0), "truncated",
             _need((lambda m: m >= 0, "truncation order must be >= 0")),
             "sets the truncation order"),

@@ -409,9 +409,11 @@ class PolySymbol:
 
     # -- evaluation ------------------------------------------------------------
 
-    def evaluate(self, X: "PhasePoint | Sequence" = None, Y: "PhasePoint | Sequence" = None,
-                 hbar: ScalarLike | None = None) -> CRational:
-        """Exact evaluation; values must be supplied for every active block."""
+    def evaluate(self, X: "PhasePoint | Sequence" = None,
+                 Y: "PhasePoint | Sequence" = None) -> CRational:
+        """Exact evaluation at X, and Y if active; an hbar block is collapsed by `at_hbar` first."""
+        if self.shape.has_hbar:
+            raise ValueError("collapse the hbar block with at_hbar before evaluating")
         d = self.shape.d
         values = []
         for name, point in (("X", X), ("Y", Y))[:2 if self.shape.has_y else 1]:
@@ -421,10 +423,6 @@ class PolySymbol:
             if len(coords) != 2 * d:
                 raise ShapeError(f"{name} needs {2 * d} coordinates")
             values += map(CRational.coerce, coords)
-        if self.shape.has_hbar:
-            if hbar is None:
-                raise ValueError("missing hbar value for a symbol with an hbar block")
-            values.append(CRational.coerce(hbar))
         total = CRational(0)
         for e, c in self.terms.items():
             for v, p in zip(values, e):
@@ -487,21 +485,19 @@ def symplectic_form(Y: PhasePoint, X: PhasePoint) -> Fraction:
     return sum((Y.xi[k] * X.x[k] - Y.x[k] * X.xi[k] for k in range(Y.d)), Fraction(0))
 
 
-def linear_form(Y: PhasePoint, shape: Shape | None = None) -> PolySymbol:
+def linear_form(Y: PhasePoint) -> PolySymbol:
     """L_Y as a polynomial in X for a numeric test point Y."""
-    d, shape = Y.d, shape or Shape(Y.d)
-    if shape.d != d:
-        raise ShapeError("dimension mismatch in linear form")
+    shape = Shape(Y.d)
     p = PolySymbol.zero(shape)
-    for k in range(d):
+    for k in range(Y.d):
         p = p + PolySymbol.var(shape, "x", k).scaled(Y.xi[k]) \
               - PolySymbol.var(shape, "xi", k).scaled(Y.x[k])
     return p
 
 
-def linear_form_symbolic(d: int, has_hbar: bool = False) -> PolySymbol:
+def linear_form_symbolic(d: int) -> PolySymbol:
     """L_Y(X) = eta.x - y.xi with Y kept as a symbolic block."""
-    shape = Shape(d, True, has_hbar)
+    shape = Shape(d, True)
     p = PolySymbol.zero(shape)
     for k in range(d):
         p = p + PolySymbol.var(shape, "eta", k) * PolySymbol.var(shape, "x", k) \

@@ -114,8 +114,8 @@ class HbarSeries:
         return cls(shape, {})
 
     @classmethod
-    def of(cls, p: PolySymbol, order: int = 0) -> "HbarSeries":
-        return cls(p.shape, {order: p})
+    def of(cls, p: PolySymbol) -> "HbarSeries":
+        return cls(p.shape, {0: p})
 
     def coeff(self, j: int) -> PolySymbol:
         return self.coeffs.get(j, PolySymbol.zero(self.shape))

@@ -42,6 +42,7 @@ from .limits import ROW_BLOCK, RUN_BYTES_CAP, check_run_bytes  # noqa: F401
 from .polysym import PolySymbol
 
 NYQUIST_TAIL = 1e-8
+STATE_NORM_TOL = 1e-8   # |squared norm - 1| of a sampled coherent state that the grid holds
 
 XGrid = GridSpec
 
@@ -173,9 +174,9 @@ def _half_step_shift(grid: GridSpec, cols=None) -> np.ndarray:
     return _fourier_multiplier(grid.n, np.exp(1j * grid.omega() * grid.step / 2.0), cols)
 
 
-def _edge_taper(grid: GridSpec, start: float = 0.8) -> np.ndarray:
-    """C^2 roll-off from 1 to 0 over [start * L, L], symmetric in |x|."""
-    s = (np.abs(grid.axis()) - start * grid.box) / ((1.0 - start) * grid.box)
+def _edge_taper(grid: GridSpec) -> np.ndarray:
+    """C^2 roll-off from 1 to 0 over [0.8 L, L], symmetric in |x|."""
+    s = (np.abs(grid.axis()) - 0.8 * grid.box) / ((1.0 - 0.8) * grid.box)
     s = np.clip(s, 0.0, 1.0)
     return 1.0 - s ** 3 * (s * (6.0 * s - 15.0) + 10.0)
 
@@ -332,7 +333,7 @@ def heisenberg_evolve(A: OperatorMatrix, H: OperatorMatrix, t: float) -> Operato
     return OperatorMatrix(A.grid, UA @ U.T)
 
 
-def _expm_series(M: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def _expm_series(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(e^M, phi1(M)) with phi1(M) = sum M^k / (k+1)!, by scaling and squaring."""
     norm = float(np.max(np.abs(M)))
     s = max(0, int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0)
@@ -342,7 +343,7 @@ def _expm_series(M: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndar
     PH = np.eye(n)
     term = np.eye(n)
     k = 1
-    while float(np.max(np.abs(term))) > tol:
+    while float(np.max(np.abs(term))) > 1e-12:
         term = term @ Ms / k
         E = E + term
         PH = PH + term / (k + 1)
@@ -390,8 +391,7 @@ def classical_evolve_quadratic(A: PolySymbol, H: PolySymbol, t: float) -> Symbol
     The flow matrix involves transcendental functions of t, so the result
     carries float coefficients; the polynomial structure is exact.
     """
-    E, u = quadratic_flow(H, t)
-    return SymbolEvaluator.from_polysymbol(A).compose_affine(E, u)
+    return evolve_evaluator(SymbolEvaluator.from_polysymbol(A), H, t)
 
 
 def evolve_evaluator(A: SymbolEvaluator, H: PolySymbol, t: float) -> SymbolEvaluator:

@@ -984,3 +984,54 @@ def test_readme_examples_run(monkeypatch, capsys, argv):
 def test_readme_has_the_nine_examples():
     assert [argv[1] for argv in _readme_examples()] == [
         "star", "star", "bracket", "gvh", "mpc", "remainder", "quantize", "egorov", "coherent"]
+
+
+# a repeated hbar would give a slope fitted to one point counted twice
+REPEATED_HBARS = [
+    ["coherent", "--A", "x^2", "--Y", "1,0.5", "--hbars", "0.5,0.5", "--Nx", "64"],
+    ["remainder", "--A", "gauss(1)", "--B", "x*gauss(1)", "--orders", "1", "--hbars", "0.5,0.5",
+     "--N", "32", "--format", "csv"],
+]
+
+
+@pytest.mark.parametrize("argv", REPEATED_HBARS, ids=["coherent", "remainder"])
+def test_repeated_hbars_exit_before_numpy_loads(tmp_path, argv):
+    out = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], capture_output=True,
+                         text=True, cwd=tmp_path, env={**os.environ, "MOYAL_LAB_THREADS": "1"})
+    assert out.stdout == ""
+    assert out.stderr.splitlines() == ["moyal-lab: hbar values must be distinct, got [0.5, 0.5]",
+                                       "exit 1, numpy loaded: False"]
+
+
+@pytest.mark.parametrize("argv, hbar, defect", [
+    (["coherent", "--A", "1", "--Y", "0,0", "--hbars", "1,1e-300", "--Nx", "64"], "1e-300",
+     "1.41e+149"),
+    (["coherent", "--A", "x^2", "--Y", "1,0", "--hbars", "1e-3,1e-4", "--Nx", "64"], "0.001", "3.46"),
+    (["coherent", "--A", "x^2", "--Y", "6,0", "--hbars", "0.5,1"], "0.5", "-4.07e-05"),
+], ids=["hbar-below-grid", "hbar-small", "state-at-box-edge"])
+def test_coherent_refuses_a_state_the_grid_cannot_hold(capsys, argv, hbar, defect):
+    # a state narrower than a grid step, or cut off at the box edge, gave wrong expectations
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        f"moyal-lab: coherent state at hbar {hbar}: squared norm on the grid minus 1 is {defect}, "
+        f"beyond 1e-08"]
+
+
+def _help(parser, argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        parser.parse_args(argv)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("cmd", list(cli.COMMANDS))
+def test_parser_builds_only_the_named_subcommand_with_the_full_help(cmd):
+    full = cli.build_parser([])
+    own = cli.build_parser([cmd, "--help"])
+    assert _help(own, [cmd, "--help"]) == _help(full, [cmd, "--help"])
+    assert _help(own, ["--help"]) == _help(full, ["--help"])
+    # the other subcommands are listed, without their options
+    for other in cli.COMMANDS.keys() - {cmd}:
+        assert "--out" not in _help(own, [other, "--help"])
+        assert "--out" in _help(full, [other, "--help"])

@@ -99,3 +99,40 @@ def test_window_decay():
     w = window(L)
     val = abs(complex(w(np.array(L), np.array(0.0))))
     assert val < 1e-7
+
+
+def test_bracket_terms_keep_one_atom_per_envelope():
+    # every derivative of x w and x^3 w carries the window's one envelope, so each bracket term
+    # is one atom, and the order-7 term samples a 512 x 512 grid in well under a second
+    import time
+
+    from moyal_lab.evaluators import bracket_term_eval
+
+    x = SymbolEvaluator.polynomial({(1, 0): 1.0}) * window(8)
+    x3 = SymbolEvaluator.polynomial({(3, 0): 1.0}) * window(8)
+    terms = {j: bracket_term_eval(x, x3, j) for j in (3, 5, 7)}
+    assert [len(t.atoms) for t in terms.values()] == [1, 1, 1]
+    axis = -8.0 + (16.0 / 512) * np.arange(512)
+    X, XI = np.meshgrid(axis, axis, indexing="ij")
+    start = time.perf_counter()
+    terms[7](X, XI)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_equal_envelopes_merge_into_their_sum():
+    from moyal_lab.evaluators import GaussAtom
+
+    rng = np.random.default_rng(7)
+    Q, c, k = [[0.5, 0.1], [0.1, 0.7]], (0.3, -0.2), (0.4, -0.9)
+    parts = [GaussAtom(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)), Q, c, k),
+             GaussAtom(rng.normal(size=(2, 4)), Q, c, k),
+             GaussAtom([[1.5]], Q, c, k)]
+    merged = SymbolEvaluator(parts)
+    assert len(merged.atoms) == 1 and len((merged + merged).atoms) == 1
+    x, xi = rand_points(rng)
+    total = sum(a(x, xi) for a in parts)
+    assert np.max(np.abs(merged(x, xi) - total)) <= 1e-14 * np.max(np.abs(total))
+    # another center, Q or k is another envelope
+    for other in ((Q, (0.3, 0.2), k), ([[0.5, 0.1], [0.1, 0.8]], c, k), (Q, c, (0.4, 0.9)),
+                  (Q, c, None), (None, (0.0, 0.0), k)):
+        assert len(SymbolEvaluator([parts[2], GaussAtom([[2.0]], *other)]).atoms) == 2

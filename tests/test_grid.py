@@ -438,3 +438,10 @@ def test_gridio_roundtrip(tmp_path):
     assert np.array_equal(back.samples, G.samples)
     raw = (tmp_path / "sym.bin").read_bytes()
     assert len(raw) == 64 * 64 * 16
+
+
+def test_remainder_scan_refuses_repeated_hbars():
+    # two equal hbar would fit a slope to one point counted twice
+    A = SymbolEvaluator.gauss(1.0)
+    with pytest.raises(ValueError, match=r"^hbar values must be distinct, got \[0\.5, 0\.25, 0\.5\]$"):
+        remainder_scaling_scan(A, A, [1], [0.5, 0.25, 0.5], GridSpec(16, 6.0, 1.0))
