@@ -257,7 +257,7 @@ def remainder_scaling_scan(A: SymbolEvaluator, B: SymbolEvaluator,
 def loglog_slope(hbars, values, floor: float):
     """Least-squares slope of log value against log hbar over the values above `floor`; None
     when fewer than two are."""
-    pts = [(h, v) for h, v in zip(hbars, values) if v > floor]
+    pts = [(float(h), v) for h, v in zip(hbars, values) if v > floor]
     if len(pts) < 2:
         return None
     return float(np.polyfit(np.log([p[0] for p in pts]), np.log([p[1] for p in pts]), 1)[0])
