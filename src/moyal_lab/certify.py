@@ -27,23 +27,16 @@ from math import factorial
 
 from .crational import CRational, I
 from .polysym import PolySymbol, Shape, directional_power
-from .star import ConventionError, _bidifferential
+from .star import ConventionError, HbarSeries, _bidifferential
 from .exppoly import ExpPolySymbol, pure_exp_collapse
 
 
 def _exp_bracket_terms(H: PolySymbol, orders) -> dict[int, PolySymbol]:
-    """{order: T_Y^* {T_Y, H}_order} for the given orders, from one bracket pass of the
-    kernel: i (C_j(T, H) - C_j(H, T)), where only T carries a phase.  T has the unit
-    prefactor, so the kernel's prefactor of phase sign -1 times T_Y^* is the term itself."""
-    full = Shape(H.shape.d, True, True)
-    terms = _bidifferential(PolySymbol.const(full, 1), H.promoted(full), orders, (-1, 0),
-                            bracket=True)
-    out = {}
-    for order, poly in terms.items():
-        if poly.degree("hbar") > 0:
-            raise ConventionError("unexpected hbar content in a bracket term")
-        out[order] = poly.at_hbar(0)
-    return out
+    """{order: T_Y^* {T_Y, H}_order}, a polynomial in (X, Y), for the given orders, from one
+    bracket pass of the kernel: i (C_j(T, H) - C_j(H, T)), where only T carries a phase.  T has
+    the unit prefactor, so the kernel's prefactor of phase sign -1 times T_Y^* is the term itself."""
+    xy = Shape(H.shape.d, True)
+    return _bidifferential(PolySymbol.const(xy, 1), H.promoted(xy), orders, (-1, 0), bracket=True)
 
 
 def bracket_term_exp(H: PolySymbol, j: int) -> PolySymbol:
@@ -76,12 +69,10 @@ def exp_test_bracket(H: PolySymbol) -> PolySymbol:
     if H.shape.has_y or H.shape.has_hbar:
         raise ValueError("H must be a plain polynomial in X")
     d = H.shape.d
-    full = Shape(d, True, True)
 
     # route (a): series over surviving odd orders, all from one kernel pass
-    series = PolySymbol.zero(full)
-    for order, t in _exp_bracket_terms(H, range(1, H.degree() + 1, 2)).items():
-        series = series + t.hbar_shifted(order - 1).promoted(full)
+    terms = _exp_bracket_terms(H, range(1, H.degree() + 1, 2)).items()
+    series = HbarSeries(Shape(d, True), {order - 1: t for order, t in terms}).as_polysymbol()
 
     # route (b): symmetric difference quotient via the collapse rule
     T = ExpPolySymbol.test_symbol(d)

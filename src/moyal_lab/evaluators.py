@@ -220,10 +220,6 @@ class SymbolEvaluator:
     def compose_affine(self, M, v) -> "SymbolEvaluator":
         return SymbolEvaluator([a.compose_affine(M, v) for a in self.atoms])
 
-    def conjugated(self) -> "SymbolEvaluator":
-        return SymbolEvaluator([GaussAtom(a.poly.conj(), a.Q, a.center,
-                                          None if a.k is None else -a.k) for a in self.atoms])
-
 
 def poisson_bracket_eval(A: SymbolEvaluator, B: SymbolEvaluator) -> SymbolEvaluator:
     """{A,B} = d_xi A d_x B - d_x A d_xi B on evaluators."""

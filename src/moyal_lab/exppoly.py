@@ -26,10 +26,6 @@ from .polysym import PolySymbol, Shape, ShapeError
 from .star import _bidifferential
 
 
-def _full_shape(d: int) -> Shape:
-    return Shape(d, True, True)
-
-
 class ExpPolySymbol:
     """prefactor(X, Y, hbar) * exp(i s L_Y(X)) with s in {-1, 0, +1}."""
 
@@ -38,7 +34,7 @@ class ExpPolySymbol:
     def __init__(self, prefactor: PolySymbol, sign: int):
         if sign not in (-1, 0, 1):
             raise ValueError("phase sign must be -1, 0 or +1")
-        full = _full_shape(prefactor.shape.d)
+        full = Shape(prefactor.shape.d, True, True)
         self.prefactor = prefactor.promoted(full)
         self.sign = sign if not self.prefactor.is_zero else 0
 
@@ -47,7 +43,7 @@ class ExpPolySymbol:
     @classmethod
     def test_symbol(cls, d: int) -> "ExpPolySymbol":
         """T_Y = exp(-i L_Y), the exponential test observable."""
-        return cls(PolySymbol.const(_full_shape(d), 1), -1)
+        return cls(PolySymbol.const(Shape(d, True, True), 1), -1)
 
     @classmethod
     def from_poly(cls, p: PolySymbol) -> "ExpPolySymbol":
@@ -80,8 +76,6 @@ class ExpPolySymbol:
 
     def __mul__(self, other) -> "ExpPolySymbol":
         """Pointwise product; phase signs add and must stay within {-1,0,1}."""
-        if isinstance(other, PolySymbol):
-            other = ExpPolySymbol(other, 0)
         s = self.sign + other.sign
         if s not in (-1, 0, 1):
             raise ValueError("product would leave the phase-sign range {-1,0,+1}")
@@ -101,9 +95,6 @@ class ExpPolySymbol:
         if self.is_zero and other.is_zero:
             return True
         return self.sign == other.sign and self.prefactor == other.prefactor
-
-    def __hash__(self):
-        raise TypeError("ExpPolySymbol is not hashable")
 
     def __repr__(self) -> str:
         if self.sign == 0:

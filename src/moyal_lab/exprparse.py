@@ -19,7 +19,8 @@ loop: the right operand of a level-k operator takes only operators above
 level k, so all are left-associative.
 
 One walk lowers an expression exactly to {gauss rate or None: PolySymbol},
-once its size bounds are within the exact caps.  `lower_poly` refuses every
+once its size bounds are within the exact caps; each product it forms must
+also hold at most MAX_EXACT_PAIRS term pairs.  `lower_poly` refuses every
 gauss factor and returns the one exact `PolySymbol`; `lower_evaluator`
 (d = 1, at most one gauss factor per product term) turns each rate into
 one atom of a numeric `SymbolEvaluator`.  A power takes one exact product
@@ -291,6 +292,7 @@ def _lower(node: Node, shape: Shape, leaf) -> dict:
             for r2, p2 in g.items():
                 if r1 is not None and r2 is not None:
                     raise ExprError("at most one gauss factor per product term", pos)
+                check_exact_pairs(len(p1.num) * len(p2.num))
                 out = plus(out, {r1 if r1 is not None else r2: p1 * p2})
         return out
 

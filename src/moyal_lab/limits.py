@@ -13,7 +13,7 @@ MAX_COEFFICIENT_BITS = 4096     # numerator or denominator of one coefficient
 MAX_EXACT_PAIRS = 10 ** 6       # term pairs of one exact product or bracket
 MAX_EXACT_PAIR_ROWS = 2 * 10 ** 6   # lowered term pairs x series orders; see README
 MAX_EXACT_DIMENSION = 64        # phase-space dimension d: every term carries 2d exponents
-MAX_SHIFTED_TERMS = 10 ** 5       # shifted terms x witness orders of a gvh or mpc run; see README
+MAX_SHIFTED_TERMS = 10 ** 5       # shifted terms of a gvh or mpc operand; see README
 # gvh prints one row per m; deg H <= 2m + 2 certifies Equal, so from this m on every H within
 # the exact degree cap gives the same row
 MAX_TRUNCATION_ORDER = MAX_EXACT_DEGREE // 2 - 1
@@ -70,12 +70,12 @@ def check_exact_rows(A, B) -> int:
     return _check_exact("pair-row estimate", rows, MAX_EXACT_PAIR_ROWS)
 
 
-def check_shifted_terms(H, orders: int = 1) -> int:
+def check_shifted_terms(H) -> int:
     """Refuse a one-operand run (gvh, mpc) when its shifted terms, the sum over the terms of H of
-    prod_k (a_k + 1)(b_k + 1), times its witness orders exceed the cap: a Taylor shift of H, and
-    the kernel's shifted operand, hold up to that many terms."""
+    prod_k (a_k + 1)(b_k + 1), exceed the cap: a Taylor shift of H, and the kernel's shifted
+    operand, hold up to that many terms."""
     d = H.shape.d
-    work = orders * sum(prod((e[k] + 1) * (e[d + k] + 1) for k in range(d)) for e in H.num)
+    work = sum(prod((e[k] + 1) * (e[d + k] + 1) for k in range(d)) for e in H.num)
     return _check_exact("shifted-term estimate", work, MAX_SHIFTED_TERMS)
 
 

@@ -289,9 +289,6 @@ class PolySymbol:
             return NotImplemented
         return self.shape == other.shape and self.den == other.den and self.num == other.num
 
-    def __hash__(self):
-        raise TypeError("PolySymbol is not hashable")
-
     # -- shape changes -----------------------------------------------------------
 
     def promoted(self, shape: Shape) -> "PolySymbol":
@@ -467,9 +464,6 @@ class PhasePoint:
     @property
     def xi(self) -> tuple:
         return self.coords[self.d:]
-
-    def __neg__(self) -> "PhasePoint":
-        return PhasePoint(tuple(-c for c in self.coords))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PhasePoint) and self.coords == other.coords

@@ -135,15 +135,6 @@ class HbarSeries:
             out[j] = out[j] + p if j in out else p
         return HbarSeries(self.shape, out)
 
-    def __sub__(self, other: "HbarSeries") -> "HbarSeries":
-        return self + other.scaled(-1)
-
-    def __neg__(self) -> "HbarSeries":
-        return self.scaled(-1)
-
-    def scaled(self, scalar: ScalarLike) -> "HbarSeries":
-        return HbarSeries(self.shape, {j: p.scaled(scalar) for j, p in self.coeffs.items()})
-
     def shifted(self, k: int) -> "HbarSeries":
         """Multiply by hbar^k."""
         return HbarSeries(self.shape, {j + k: p for j, p in self.coeffs.items()})
@@ -152,9 +143,6 @@ class HbarSeries:
         if not isinstance(other, HbarSeries):
             return NotImplemented
         return self.shape == other.shape and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        raise TypeError("HbarSeries is not hashable")
 
     def at_hbar(self, value: ScalarLike) -> PolySymbol:
         """Collapse to a PolySymbol at an exact numeric hbar."""

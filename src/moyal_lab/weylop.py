@@ -42,7 +42,7 @@ from .limits import ROW_BLOCK, RUN_BYTES_CAP, check_run_bytes  # noqa: F401
 from .polysym import PolySymbol
 
 NYQUIST_TAIL = 1e-8
-STATE_NORM_TOL = 1e-8   # |squared norm - 1| of a sampled coherent state that the grid holds
+STATE_NORM_TOL = 1e-8   # |squared norm - 1| and Nyquist-bin share of a coherent state the grid holds
 
 XGrid = GridSpec
 
@@ -83,9 +83,6 @@ class OperatorMatrix:
         if self.grid != other.grid:
             raise ValueError("operator grids do not match")
         return OperatorMatrix(self.grid, self.entries @ other.entries)
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return OperatorMatrix(self.grid, self.entries + other.entries)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return OperatorMatrix(self.grid, self.entries - other.entries)

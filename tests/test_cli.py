@@ -115,6 +115,7 @@ def _array_memory_error():
     (lambda: FloatingPointError("invalid value encountered in multiply"), 2),
     (lambda: RuntimeError("unexpected\nstate"), 3),
     (lambda: KeyError("slot"), 3),
+    (lambda: cli.ConventionError("sign drift"), 3),
 ])
 def test_exit_code_contract_in_process(monkeypatch, capsys, make_exc, code):
     def failing_star_grid(*args, **kwargs):
@@ -210,7 +211,7 @@ DENSE_D3 = "(x1+x2+x3+xi1+xi2+xi3+{})^12"      # 18,564 terms each
     (["gvh", "--H", "x^3", "--max-m", "1000000000"], "--max-m must be at most 31: every H within the degree cap of 64 is Equal from there on"),
     (["mpc", "--H", "(x+xi+1)^64"], "shifted-term estimate 814385 exceeds the exact engine's cap of 100000"),
     (["gvh", "--H", "(x+xi+1)^64", "--max-m", "3"],
-     "shifted-term estimate 3257540 exceeds the exact engine's cap of 100000"),
+     "shifted-term estimate 814385 exceeds the exact engine's cap of 100000"),
 ], ids=["literal-power", "star-pairs", "bracket-pairs", "star-dimension", "mpc-dimension",
         "negative-dimension", "gvh-max-m", "mpc-shifted-terms", "gvh-shifted-terms"])
 def test_exact_size_caps_exit_before_expanding(capsys, argv, message):
@@ -235,6 +236,27 @@ def test_exact_pair_rows_beyond_the_cap_exit_after_lowering(capsys, argv):
     out, err = capsys.readouterr()
     assert out == "" and err.splitlines() == [
         "moyal-lab: pair-row estimate 30394161 exceeds the exact engine's cap of 2000000"]
+
+
+D8_POWER = "(x1+x2+x3+x4+x5+x6+x7+x8+xi1+xi2+xi3+xi4+xi5+xi6+xi7+xi8+1)^12"
+D2_PRODUCT = "(x1+x2+xi1+xi2+1)^16*(x1+x2+xi1+xi2+2)^16"     # 4,845 terms in each factor
+
+
+@pytest.mark.parametrize("argv, pairs", [
+    (["gvh", "--d", "8", "--H", D8_POWER], 1268421),
+    (["mpc", "--d", "8", "--H", D8_POWER], 1268421),
+    (["star", "--d", "2", "--A", D2_PRODUCT, "--B", "1"], 23474025),
+    (["gvh", "--d", "2", "--H", D2_PRODUCT], 23474025),
+], ids=["gvh-d8-power", "mpc-d8-power", "star-d2-product", "gvh-d2-product"])
+def test_lowering_refuses_a_product_above_the_pair_cap(argv, pairs):
+    # the expression's bounds cap degree and bits, not the terms of each product formed while
+    # lowering: these ran for more than 20 s each before they printed or were refused
+    start = time.perf_counter()
+    out = run_cli(*argv)
+    assert time.perf_counter() - start < 5.0
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.splitlines() == [
+        f"moyal-lab: term-pair estimate {pairs} exceeds the exact engine's cap of 1000000"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -727,6 +749,19 @@ def test_quantize_subcommand():
     assert data["result"]["roundtrip_interior_sup_error"] < 1e-5
 
 
+def test_quantize_saves_the_operator(tmp_path):
+    from moyal_lab.grid import GridSpec
+    from moyal_lab.gridio import load_operator
+    from moyal_lab.weylop import quantize_kernel
+
+    path = tmp_path / "op"
+    out = run_cli("quantize", "--A", "gauss(1)", "--Nx", "64", "--L", "8", "--save", str(path))
+    assert out.returncode == 0 and json.loads(out.stdout)["result"]["saved"] is True
+    M = load_operator(path)
+    assert M.grid == GridSpec(64, 8.0, 1.0)
+    assert np.array_equal(M.entries, quantize_kernel(cli._eval_arg("gauss(1)"), M.grid).entries)
+
+
 def test_egorov_subcommand():
     out = run_cli("egorov", "--A", "x*gauss(1/4)", "--H", "1/2*x^2 + 1/2*xi^2",
                   "--t", "0.785398", "--Nx", "128", "--L", "8")
@@ -1016,6 +1051,24 @@ def test_coherent_refuses_a_state_the_grid_cannot_hold(capsys, argv, hbar, defec
     assert out == "" and err.splitlines() == [
         f"moyal-lab: coherent state at hbar {hbar}: squared norm on the grid minus 1 is {defect}, "
         f"beyond 1e-08"]
+
+
+@pytest.mark.parametrize("Y, share", [("0,7.9", "0.00084"), ("0,6", "0.133")])
+def test_coherent_refuses_a_state_the_grid_aliases(capsys, Y, share):
+    # eta/hbar past the grid's Nyquist keeps the squared norm but folds the state back: at
+    # hbar 0.5 the abs errors were 40.4 and 1.97, where hbar/2 = 0.25 is expected
+    assert cli.main(["coherent", "--A", "xi^2", "--Y", Y, "--hbars", "0.5,1", "--Nx", "64"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        f"moyal-lab: coherent state at hbar 0.5: share {share} of its squared norm in the grid's "
+        f"Nyquist bin, beyond 1e-08: the grid aliases it"]
+
+
+def test_coherent_admits_a_state_the_grid_resolves(capsys):
+    assert cli.main(["coherent", "--A", "xi^2", "--Y", "0,2", "--hbars", "0.5,1", "--Nx", "64"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert [round(r["abs_error"], 9) for r in result["rows"]] == [0.25, 0.5]
+    assert abs(result["slope"] - 1.0) < 1e-9
 
 
 def _help(parser, argv) -> str:
