@@ -227,13 +227,21 @@ def cj_grid(A: GridSymbol, B: GridSymbol, j: int) -> GridSymbol:
     return GridSymbol(spec, acc * (-0.5j) ** j)
 
 
+def _remainders(GA: GridSymbol, GB: GridSymbol, top: int):
+    """R_order = A*B - sum_{j <= order} hbar^j C_j for order = 0..top: the partial sum is carried
+    from one order to the next, so one C_j is alive at a time, and added in j order."""
+    hbar, prod, partial_sum = _check_specs(GA, GB).hbar, star_grid(GA, GB).samples, 0
+    for j in range(top + 1):
+        partial_sum = partial_sum + hbar ** j * cj_grid(GA, GB, j).samples
+        yield prod - partial_sum
+
+
 def remainder_grid(A: GridSymbol, B: GridSymbol, order: int) -> GridSymbol:
-    """R_order = A*B - sum_{j <= order} hbar^j C_j."""
-    spec = _check_specs(A, B)
-    acc = star_grid(A, B).samples.copy()
-    for j in range(order + 1):
-        acc -= spec.hbar ** j * cj_grid(A, B, j).samples
-    return GridSymbol(spec, acc)
+    """R_order = A*B - sum_{j <= order} hbar^j C_j, rounded as `remainder_scaling_scan` rounds it."""
+    check_series_orders([order])
+    for R in _remainders(A, B, order):
+        pass
+    return GridSymbol(A.spec, R)
 
 
 def remainder_scaling_scan(A: SymbolEvaluator, B: SymbolEvaluator,
@@ -247,7 +255,10 @@ def remainder_scaling_scan(A: SymbolEvaluator, B: SymbolEvaluator,
     check_series_orders(orders)
     check_distinct_hbars(hbars)
     specs = [GridSpec(spec.n, spec.box, h) for h in hbars]     # every hbar checked before sampling
-    sups = [_remainder_sups(A, B, max(orders), h, sp) for h, sp in zip(hbars, specs)]
+    mask, top = spec.interior_mask(), max(orders)
+    # map, unlike a comprehension, drops each remainder before the next one is formed
+    sups = [list(map(lambda R: float(np.max(np.abs(R[mask]))), _remainders(sample(A, sp), sample(B, sp), top)))
+            for sp in specs]
     rows = [(order, float(h), by_order[order]) for h, by_order in zip(hbars, sups) for order in orders]
     slopes = {order: loglog_slope(hbars, [by_order[order] for by_order in sups], 1e-12)
               for order in orders}
@@ -261,24 +272,6 @@ def loglog_slope(hbars, values, floor: float):
     if len(pts) < 2:
         return None
     return float(np.polyfit(np.log([p[0] for p in pts]), np.log([p[1] for p in pts]), 1)[0])
-
-
-def _remainder_sups(A: SymbolEvaluator, B: SymbolEvaluator, top: int, h,
-                    sp: GridSpec) -> list[float]:
-    """Interior sup-norms of A*B - sum_{j <= order} h^j C_j for order = 0..top.
-
-    The partial sum is carried from one order to the next, so one C_j is
-    alive at a time; its additions run in j order, as a fresh sum would.
-    """
-    GA, GB = sample(A, sp), sample(B, sp)
-    prod = star_grid(GA, GB).samples
-    mask = sp.interior_mask()
-    partial_sum = 0
-    out = []
-    for j in range(top + 1):
-        partial_sum = partial_sum + h ** j * cj_grid(GA, GB, j).samples
-        out.append(float(np.max(np.abs((prod - partial_sum)[mask]))))
-    return out
 
 
 def symplectic_fourier(A: GridSymbol) -> GridSymbol:

@@ -4,8 +4,10 @@ Layout: row-major complex samples as interleaved little-endian float64
 pairs (re, im) in ``<path>.bin`` (numpy's ``<c16``, written and read in
 one call each), and a sidecar ``<path>.json`` holding
 {"kind", "shape", "N", "L", "hbar"}, where N, L and hbar are the fields of
-the data's `grid.GridSpec` lattice.  Grid symbols, operator matrices and
-wavefunctions all share the format; ``kind`` tells them apart.
+the data's `grid.GridSpec` lattice.  The suffixes are appended to the whole
+path, so ``run.v2`` and ``run.v3`` name different files.  Grid symbols,
+operator matrices and wavefunctions all share the format; ``kind`` tells
+them apart.
 """
 
 from __future__ import annotations
@@ -20,19 +22,17 @@ from .grid import GridSpec, GridSymbol
 
 def _write(path, kind: str, arr: np.ndarray, spec: GridSpec) -> None:
     data = np.ascontiguousarray(arr, dtype="<c16")
-    path = Path(path)
-    data.tofile(path.with_suffix(".bin"))
+    data.tofile(f"{path}.bin")
     sidecar = {"kind": kind, "shape": list(data.shape),
                "N": spec.n, "L": spec.box, "hbar": spec.hbar}
-    path.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
+    Path(f"{path}.json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
 
 
 def _read(path, kind: str) -> tuple[GridSpec, np.ndarray]:
-    path = Path(path)
-    meta = json.loads(path.with_suffix(".json").read_text())
+    meta = json.loads(Path(f"{path}.json").read_text())
     if meta["kind"] != kind:
         raise ValueError(f"expected a {kind} payload, found {meta['kind']!r}")
-    arr = np.fromfile(path.with_suffix(".bin"), dtype="<c16").reshape(meta["shape"])
+    arr = np.fromfile(f"{path}.bin", dtype="<c16").reshape(meta["shape"])
     return GridSpec(meta["N"], meta["L"], meta["hbar"]), arr
 
 

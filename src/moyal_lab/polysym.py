@@ -220,14 +220,12 @@ class PolySymbol:
                                                               for e, (re, im) in self.num.items()})
 
     def __pow__(self, n: int) -> "PolySymbol":
+        """One product per unit of n, as `exprparse` lowers a power (see its docstring)."""
         if n < 0:
             raise ValueError("negative polynomial power")
-        out, base = PolySymbol.const(self.shape, 1), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        out = PolySymbol.const(self.shape, 1)
+        for _ in range(n):
+            out = out * self
         return out
 
     def conjugate(self) -> "PolySymbol":

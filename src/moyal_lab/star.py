@@ -62,14 +62,15 @@ axes the product is at most M = min((1 + deg B)^deg A, (1 + deg A)^deg B),
 degrees in X.  A digit sums n_A n_B v T[s] over term pairs and rows, so it
 is at most |A| |B| M in absolute value, |A| being the sum of the |numerators|
 of A; the bracket's second pass can double that and the sign takes a bit:
-W = bit_length(|A| |B| M) + bracket + 1.  With phases |A| and |B| are those of
-the shifted operands, entries dropped by the reach bound left out: a digit
-then sums n_A n_B v T[s] over pairs of shifted entries, and as a shift only
-lowers X-degrees, M bounds each such pair's series too.  A narrower W would
-corrupt exact results silently, so W is not a tuning knob.  Every call is
-packed, whatever its W; with numerators of thousands of bits one multiply by
-a series of W-bit digits costs more than one per order, but no benchmark
-workload measures where.
+W = bit_length(|A| |B| M) + bracket + 1.  A prefix axis's table T is read
+off R1(2^W) R2(2^W) as its signed W-bit digits 0..j_max, exact as |T[s]| <= M
+< 2^(W-1).  With phases |A| and |B| are those of the shifted operands, entries
+dropped by the reach bound left out: a digit then sums n_A n_B v T[s] over
+pairs of shifted entries, and as a shift only lowers X-degrees, M bounds each
+such pair's series too.  A narrower W would corrupt exact results silently,
+so W is not a tuning knob.  Every call is packed, whatever its W; with
+numerators of thousands of bits one multiply by a series of W-bit digits
+costs more than one per order, but no benchmark workload measures where.
 
 Series are represented by `HbarSeries`: a finite map {j: PolySymbol} of
 hbar-power to coefficient symbol (coefficients carry no hbar block).
@@ -162,11 +163,6 @@ class HbarSeries:
         return " + ".join(f"hbar^{j}*[{self.coeff(j)!r}]" for j in self.orders())
 
 
-def _row(e: int, f: int, sign: int, jmax: int) -> list:
-    """[sign^a C(e, a) [f]_a for a = 0..min(e, f, jmax)]: R1 (sign 1) or R2 (sign -1)."""
-    return [sign ** a * comb(e, a) * perm(f, a) for a in range(min(e, f, jmax) + 1)]
-
-
 def _bidifferential(A: PolySymbol, B: PolySymbol, orders, signs=(0, 0),
                     bracket: bool = False) -> dict[int, PolySymbol]:
     """{j: C_j(A, B)} for j in `orders` by the per-axis tables of the module docstring, `signs`
@@ -179,18 +175,19 @@ def _bidifferential(A: PolySymbol, B: PolySymbol, orders, signs=(0, 0),
     width = (sum(max(map(sum, p.num), default=0) for p in (A, B)) + jmax).bit_length()
     top, mask = nv * width, (1 << width) - 1
     deg = [max((sum(e[:2 * d]) for e in p.num), default=0) for p in (A, B)]
-    # prefix rows are all [(0, 0, 1)] if either factor has no exponent on axes 0..d-2
+    # no prefix tables if either factor has no exponent on axes 0..d-2
     flat = not all(any(any(e[:d - 1] + e[d:2 * d - 1]) for e in p.num) for p in (A, B))
     M = min((1 + deg[1]) ** deg[0], (1 + deg[0]) ** deg[1])
     nxt = [min(o for o in orders if o >= l) for l in range(jmax + 1)]    # next wanted order
     memo, reach, tables, ints = {}, {}, {}, {}     # all for this call only
     lowering = [(1 << top) - (1 << width * k) - (1 << width * (k + d)) for k in range(d)]
 
-    def packed(e, f, sign):
-        """R1 (sign 1) or R2 (sign -1) of (e, f) in W-bit digits, at 2^(W a) for a = 0, 1, ..."""
-        if (e, f, sign) not in ints:
-            ints[e, f, sign] = sum(u << W * a for a, u in enumerate(_row(e, f, sign, jmax)))
-        return ints[e, f, sign]
+    def packed(e, sign, n):
+        """[R1 (sign 1) or R2 (sign -1) of (e, f) in W-bit digits, at 2^(W a)] for f = 0..n - 1."""
+        if (e, sign, n) not in ints:
+            ints[e, sign, n] = [sum(sign ** a * comb(e, a) * perm(f, a) << W * a for a in range(min(e, f, jmax) + 1))
+                                for f in range(n)]
+        return ints[e, sign, n]
 
     def shifted(k, x, xi):
         """[[(key delta, x - i, xi - l + i, C(x, i) C(xi, l - i))] for l = 0, 1, ...]: the entries
@@ -236,37 +233,35 @@ def _bidifferential(A: PolySymbol, B: PolySymbol, orders, signs=(0, 0),
                                     size += abs(q * v * u)
         return groups, size
 
-    def signed(groups, sign, shift):
-        """`groups` with each n times sign shift^l, l being its group's shift order."""
-        return {g: [(x, xi, key, -n, k) for x, xi, key, n, k in Lt] if (sign < 0) ^ (shift < 0 and g[0] & 1)
-                else Lt for g, Lt in groups.items()}
-
     def table(k, al, be, ga, de):
-        """[(s, key delta, T[s])] on axis k for x^al xi^be (left) and x^ga xi^de (right); the key
-        delta lowering[k] raises the order by one and lowers x_k and xi_k by one."""
-        r1, r2 = _row(be, ga, 1, jmax), _row(al, de, -1, jmax)
-        T = [sum(u * r2[s - a] for a, u in enumerate(r1) if 0 <= s - a < len(r2)) for s in range(jmax + 1)]
-        t = tables[k, al, be, ga, de] = [(s, s * lowering[k], v) for s, v in enumerate(T) if v]
+        """[(s, key delta, T[s])] on axis k for x^al xi^be (left) and x^ga xi^de (right), T[s] being
+        digit s of R1 R2; the key delta lowering[k] raises the order and lowers x_k and xi_k by one."""
+        t = tables[k, al, be, ga, de] = []
+        v = packed(be, 1, max(deg) + 1)[ga] * packed(al, -1, max(deg) + 1)[de]
+        for s in range(jmax + 1):
+            if c := (v + half & digit) - half:
+                t.append((s, s * lowering[k], c))
+            v = v + half >> W
         return t
 
     (GA, sizeA), (GB, sizeB) = grouped(0), grouped(1)
-    passes = [(signed(GA, 1, signs[1]), signed(GB, 1, -signs[0]))]
-    if bracket:     # i (C_j(A, B) - C_j(B, A)): the second pass swaps the factors
-        passes.append((signed(GB, -1, signs[0]), signed(GA, 1, -signs[1])))
     W = (sizeA * sizeB * M).bit_length() + bracket + 1     # by the module docstring
+    half, digit, step = 1 << W - 1, (1 << W) - 1, lowering[-1]
+    # left terms carry their rows R1[xi exponent] and R2[x exponent] up to the right factor's degree
+    rowed = [{g: [(packed(xi, 1, m), packed(x, -1, m), key, n, k) for x, xi, key, n, k in Lt]
+              for g, Lt in G.items()} for G, m in zip((GA, GB)[:1 + bracket], (deg[1] + 1, deg[0] + 1))]
+    # (left, right, sigma, shift_left, shift_right), a group pair's sign riding on its first row;
+    # the bracket's second pass, i (C_j(A, B) - C_j(B, A)), swaps the factors
+    passes = [(rowed[0], GB, 1, signs[1], -signs[0]), (rowed[-1], GA, -1, signs[0], -signs[1])][:1 + bracket]
     acc = [defaultdict(int) for _ in range(4)]      # key -> numerator of i^0, i^1, i^2, i^3
-    for left, right in passes:
-        # left terms carry their rows R1[xi exponent] and R2[x exponent]
-        gx, gxi = (max((t[i] for Rt in right.values() for t in Rt), default=0) + 1 for i in (0, 1))
-        als, bes = ({t[i] for Lt in left.values() for t in Lt} for i in (0, 1))
-        R1 = {be: [packed(be, ga, 1) for ga in range(gx)] for be in bes}
-        R2 = {al: [packed(al, de, -1) for de in range(gxi)] for al in als}
+    for left, right, sign, sl, sr in passes:
         for pa, Lt in left.items():
-            Lt = [(R1[be], R2[al], ka, va, ra) for al, be, ka, va, ra in Lt]
             for pb, Rt in right.items():
                 if (base := pa[0] + pb[0]) > jmax:      # the two groups' shift orders
                     continue
-                rows = [(0, 0, 1)]          # (order, key delta, entry) over axes 0..d-2
+                # (order, key delta, entry) over axes 0..d-2, from the pair's sign sigma shift_left^l
+                # shift_right^l': an s = -1 operand is the s = 1 one times (-1)^l at shift order l
+                rows = [(0, 0, sign * sl ** pa[0] * sr ** pb[0])]
                 for k in range(len(pa) // 2):
                     e = k, pa[k + 1], pa[d + k], pb[k + 1], pb[d + k]
                     t = tables.get(e) or table(*e)
@@ -279,7 +274,6 @@ def _bidifferential(A: PolySymbol, B: PolySymbol, orders, signs=(0, 0),
                         for j, dj, v in rows:
                             into[kab + dj] += v * c
     terms, slots = {j: {} for j in orders}, [width * i for i in range(nv)]
-    step, half, digit = lowering[-1], 1 << W - 1, (1 << W) - 1
     for k, sums in enumerate(acc):
         for key, v in sums.items():
             j = key >> top

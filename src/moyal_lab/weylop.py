@@ -43,6 +43,7 @@ from .polysym import PolySymbol
 
 NYQUIST_TAIL = 1e-8
 STATE_NORM_TOL = 1e-8   # |squared norm - 1| and Nyquist-bin share of a coherent state the grid holds
+FLOW_DET_TOL = 1e-6     # |det E - 1| of a computed flow map, which is area-preserving
 
 XGrid = GridSpec
 
@@ -359,7 +360,8 @@ def quadratic_flow(H: PolySymbol, t: float) -> tuple[np.ndarray, np.ndarray]:
 
     The characteristic system is dx/dt = -d_xi H, dxi/dt = +d_x H (the
     bracket convention of this package); the returned pair satisfies
-    Phi_t(X) = E X + u.
+    Phi_t(X) = E X + u.  A float E whose det is off 1 by more than
+    FLOW_DET_TOL (the harmonic H from |t| of about 5e7) raises FloatingPointError.
     """
     if H.shape.d != 1 or H.shape.has_y or H.shape.has_hbar:
         raise ValueError("flow requires a d = 1 polynomial in X only")
@@ -378,8 +380,10 @@ def quadratic_flow(H: PolySymbol, t: float) -> tuple[np.ndarray, np.ndarray]:
     M = np.array([[-ax, -axi], [bx, bxi]])
     v = np.array([-a0, b0])
     E, PH = _expm_series(t * M)
-    u = t * (PH @ v)
-    return E, u
+    defect = E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0] - 1.0
+    if not abs(defect) <= FLOW_DET_TOL:
+        raise FloatingPointError(f"flow map at t = {t:g} has det - 1 = {defect:.3g}, beyond {FLOW_DET_TOL:g}")
+    return E, t * (PH @ v)
 
 
 def classical_evolve_quadratic(A: PolySymbol, H: PolySymbol, t: float) -> SymbolEvaluator:

@@ -446,7 +446,10 @@ def test_operator_argv_fuzz(argv):
      "--tol must be finite and >= 0"),
     (["egorov", "--A", "x*gauss(1/4)", "--H", "x^2", "--t", "nan", "--Nx", "16"], 1,
      "--t must be finite"),
-], ids=["coherent-huge-Y", "coherent-three-Y", "egorov-huge-t", "quantize-nan-tol", "egorov-nan-t"])
+    (["egorov", "--A", "x*gauss(1/4)", "--H", "1/2*x^2 + 1/2*xi^2", "--t", "1e20", "--Nx", "16"], 2,
+     "floating-point failure: "),
+], ids=["coherent-huge-Y", "coherent-three-Y", "egorov-huge-t", "quantize-nan-tol", "egorov-nan-t",
+        "egorov-flow-det"])
 def test_operator_inputs_exit_with_one_line(capsys, argv, code, message):
     # numpy overflow and invalid operations are errors, not warnings, and bad numbers are
     # refused before any work

@@ -325,6 +325,16 @@ def test_remainder_leading_order():
     assert errs[1] < 0.33 * errs[0]
 
 
+def test_remainder_grid_matches_the_scan_rows_exactly():
+    # one remainder walk: remainder_grid rounds as the scan does, so its interior sup is the row
+    spec = GridSpec(64, 8.0, 0.3)
+    A = SymbolEvaluator.gauss(1.0)
+    B = SymbolEvaluator.polynomial({(1, 0): 1.0}) * SymbolEvaluator.gauss(0.5, center=(0.3, -0.2))
+    rows = remainder_scaling_scan(A, B, [0, 1, 2], [0.3], spec)["rows"]
+    GA, GB = quiet_sample(A, spec), quiet_sample(B, spec)
+    assert [remainder_grid(GA, GB, k).interior_sup() for k in (0, 1, 2)] == [sup for _, _, sup in rows]
+
+
 def test_remainder_scaling_slopes():
     spec = GridSpec(64, 8.0, 1.0)
     A = SymbolEvaluator.gauss(1.0)
@@ -438,6 +448,17 @@ def test_gridio_roundtrip(tmp_path):
     assert np.array_equal(back.samples, G.samples)
     raw = (tmp_path / "sym.bin").read_bytes()
     assert len(raw) == 64 * 64 * 16
+
+
+def test_gridio_appends_its_suffixes_to_dotted_names(tmp_path):
+    # with_suffix would write run.v2 and run.v3 to the same run.bin and run.json
+    spec = GridSpec(16, 6.0, 1.0)
+    first, second = (quiet_sample(SymbolEvaluator.gauss(a), spec) for a in (1.0, 0.5))
+    save_grid_symbol(first, tmp_path / "run.v2")
+    save_grid_symbol(second, tmp_path / "run.v3")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.v2.bin", "run.v2.json",
+                                                          "run.v3.bin", "run.v3.json"]
+    assert np.array_equal(load_grid_symbol(tmp_path / "run.v2").samples, first.samples)
 
 
 def test_remainder_scan_refuses_repeated_hbars():
